@@ -180,29 +180,40 @@ pub fn compute_codes_with(
     batch_size: usize,
 ) -> NodeEmbeddings {
     let code_dim = encoders.first().map_or(0, |ae| ae.code_dim());
-    let n = tkg.graph.node_count();
-    let mut codes = Matrix::zeros(n, code_dim);
-    for ((kind, ae), scaler) in IocKind::ALL.iter().zip(encoders).zip(scalers) {
-        let dims = Tkg::dims_of(*kind);
-        let featured = tkg.featured_nodes(*kind);
-        // Batches are independent at inference time, so the
-        // densify + scale + encode pipeline fans out across the pool;
-        // only the write-back into the interleaved `codes` rows stays
-        // sequential.
-        let chunks: Vec<&[(NodeId, SparseRef<'_>)]> = featured.chunks(batch_size.max(1)).collect();
-        let encoded: Vec<Matrix> = trail_linalg::pool::parallel_map(chunks.len(), |ci| {
-            let rows: Vec<SparseRef<'_>> = chunks[ci].iter().map(|&(_, sv)| sv).collect();
-            let mut dense = densify(&rows, dims);
-            scaler.transform_inplace(&mut dense);
-            ae.encode(&dense)
-        });
-        for (chunk, enc) in chunks.iter().zip(&encoded) {
-            for (i, &(node, _)) in chunk.iter().enumerate() {
-                codes.row_mut(node.index()).copy_from_slice(enc.row(i));
-            }
-        }
+    let mut codes = Matrix::zeros(tkg.graph.node_count(), code_dim);
+    for ((&kind, ae), scaler) in IocKind::ALL.iter().zip(encoders).zip(scalers) {
+        let featured = tkg.featured_nodes(kind);
+        encode_rows(&featured, kind, ae, scaler, batch_size, &mut codes);
     }
     NodeEmbeddings { codes, code_dim }
+}
+
+/// Densify, standardise and encode `rows` (all of IOC kind `kind`),
+/// writing each code into its node's row of `codes`. Batches are
+/// independent at inference time, so the pipeline fans out across the
+/// pool; only the write-back stays sequential. Every step is row-local,
+/// so a row's code does not depend on which rows share its batch.
+fn encode_rows(
+    rows: &[(NodeId, SparseRef<'_>)],
+    kind: IocKind,
+    ae: &Autoencoder,
+    scaler: &SparseScaler,
+    batch_size: usize,
+    codes: &mut Matrix,
+) {
+    let dims = Tkg::dims_of(kind);
+    let chunks: Vec<&[(NodeId, SparseRef<'_>)]> = rows.chunks(batch_size.max(1)).collect();
+    let encoded: Vec<Matrix> = trail_linalg::pool::parallel_map(chunks.len(), |ci| {
+        let batch: Vec<SparseRef<'_>> = chunks[ci].iter().map(|&(_, sv)| sv).collect();
+        let mut dense = densify(&batch, dims);
+        scaler.transform_inplace(&mut dense);
+        ae.encode(&dense)
+    });
+    for (chunk, enc) in chunks.iter().zip(&encoded) {
+        for (i, &(node, _)) in chunk.iter().enumerate() {
+            codes.row_mut(node.index()).copy_from_slice(enc.row(i));
+        }
+    }
 }
 
 /// Encode every featured node with already-trained encoders. Re-run
@@ -218,26 +229,34 @@ pub fn compute_codes(tkg: &Tkg, encoders: &[Autoencoder], batch_size: usize) -> 
     compute_codes_with(tkg, encoders, &scalers, batch_size)
 }
 
-/// Incrementally maintained node codes, keyed per row on the feature
-/// content fingerprint.
+/// Incrementally maintained node codes over the insert-only feature
+/// store.
 ///
 /// Feature writes are first-write-wins and the study freezes the base
 /// scalers, so a node's code is immutable once computed: each refresh
-/// only encodes rows whose fingerprint is missing or changed (new
-/// nodes, or the rare defensive re-write). Any change the cache cannot
-/// absorb — different code width, different scaler transform, a
-/// shrinking graph — triggers a transparent full rebuild, so a refresh
-/// is always bitwise-identical to [`compute_codes_with`] on the same
+/// encodes only the feature rows written since the last one, the tail
+/// of the store's write order ([`Tkg::features_since`]). The range is
+/// keyed on that order, not on node ids: enrichment re-queries IOCs
+/// that lack features, so a node created months ago can get its
+/// features now. The code matrix grows by amortised capacity. Anything
+/// the cache cannot absorb — a different code width, a different scaler
+/// transform, a store that does not descend from the last one seen
+/// (fewer nodes or feature writes, or the last seen write now owned by
+/// another node) — triggers a transparent full rebuild, so a refresh is
+/// always bitwise-identical to [`compute_codes_with`] on the same
 /// inputs.
 pub struct CodeCache {
     codes: Matrix,
     code_dim: usize,
-    row_fp: Vec<u64>,
-    cached: Vec<bool>,
     scaler_fp: u64,
+    /// Feature writes folded in so far, and the owner of the last one.
+    seen_writes: usize,
+    last_owner: Option<NodeId>,
+    /// Featured rows encoded since the last full rebuild.
+    encoded: u64,
     /// Times the cache threw everything away and rebuilt.
     pub full_rebuilds: u64,
-    /// Featured rows served from cache across all refreshes.
+    /// Featured rows kept without re-encoding, summed over refreshes.
     pub rows_reused: u64,
     /// Featured rows (re-)encoded across all refreshes.
     pub rows_recomputed: u64,
@@ -255,9 +274,10 @@ impl CodeCache {
         Self {
             codes: Matrix::zeros(0, 0),
             code_dim: 0,
-            row_fp: Vec::new(),
-            cached: Vec::new(),
             scaler_fp: 0,
+            seen_writes: 0,
+            last_owner: None,
+            encoded: 0,
             full_rebuilds: 0,
             rows_reused: 0,
             rows_recomputed: 0,
@@ -286,7 +306,6 @@ impl CodeCache {
         scalers: &[SparseScaler],
         batch_size: usize,
     ) -> Vec<usize> {
-        let mut written = Vec::new();
         let code_dim = encoders.first().map_or(0, |ae| ae.code_dim());
         let n = tkg.graph.node_count();
         let mut scaler_fp = 0xcbf2_9ce4_8422_2325u64;
@@ -294,60 +313,38 @@ impl CodeCache {
             scaler_fp ^= s.fingerprint();
             scaler_fp = scaler_fp.wrapping_mul(0x0100_0000_01b3);
         }
-        if code_dim != self.code_dim || scaler_fp != self.scaler_fp || n < self.row_fp.len() {
-            // The transform changed or nodes vanished: cached rows are
-            // unusable, start over.
-            self.codes = Matrix::zeros(n, code_dim);
-            self.row_fp = vec![0; n];
-            self.cached = vec![false; n];
+        let last_seen = self.seen_writes.checked_sub(1);
+        let last_owner = last_seen.and_then(|i| tkg.features_since(i).next().map(|(node, _)| node));
+        let descendant = n >= self.codes.rows() && last_owner == self.last_owner;
+        if code_dim != self.code_dim || scaler_fp != self.scaler_fp || !descendant {
+            self.codes.reset_zeros(n, code_dim);
             self.code_dim = code_dim;
             self.scaler_fp = scaler_fp;
+            self.seen_writes = 0;
+            self.last_owner = None;
+            self.encoded = 0;
             self.full_rebuilds += 1;
-        } else if n > self.row_fp.len() {
-            let mut grown = Matrix::zeros(n, code_dim);
-            for i in 0..self.codes.rows() {
-                grown.row_mut(i).copy_from_slice(self.codes.row(i));
-            }
-            self.codes = grown;
-            self.row_fp.resize(n, 0);
-            self.cached.resize(n, false);
         }
-        for ((kind, ae), scaler) in IocKind::ALL.iter().zip(encoders).zip(scalers) {
-            let dims = Tkg::dims_of(*kind);
-            let featured = tkg.featured_nodes(*kind);
-            let mut dirty: Vec<(NodeId, SparseRef<'_>, u64)> = Vec::new();
-            for &(node, sv) in &featured {
-                let fp = sv.fingerprint();
-                let i = node.index();
-                if !self.cached[i] || self.row_fp[i] != fp {
-                    dirty.push((node, sv, fp));
-                }
-            }
-            self.rows_reused += (featured.len() - dirty.len()) as u64;
-            self.rows_recomputed += dirty.len() as u64;
-            if dirty.is_empty() {
-                continue;
-            }
-            // Same densify + scale + encode pipeline as the full build;
-            // every step is row-local, so encoding only the dirty rows
-            // (in whatever chunking) reproduces the full-batch bits.
-            let chunks: Vec<&[(NodeId, SparseRef<'_>, u64)]> =
-                dirty.chunks(batch_size.max(1)).collect();
-            let encoded: Vec<Matrix> = trail_linalg::pool::parallel_map(chunks.len(), |ci| {
-                let rows: Vec<SparseRef<'_>> = chunks[ci].iter().map(|&(_, sv, _)| sv).collect();
-                let mut dense = densify(&rows, dims);
-                scaler.transform_inplace(&mut dense);
-                ae.encode(&dense)
-            });
-            for (chunk, enc) in chunks.iter().zip(&encoded) {
-                for (i, &(node, _, fp)) in chunk.iter().enumerate() {
-                    self.codes.row_mut(node.index()).copy_from_slice(enc.row(i));
-                    self.row_fp[node.index()] = fp;
-                    self.cached[node.index()] = true;
-                    written.push(node.index());
-                }
+        self.codes.resize_rows(n);
+        self.rows_reused += self.encoded;
+
+        let mut dirty: [Vec<(NodeId, SparseRef<'_>)>; 3] = Default::default();
+        for (node, sv) in tkg.features_since(self.seen_writes) {
+            self.seen_writes += 1;
+            self.last_owner = Some(node);
+            let kind = tkg.graph.node(node).kind;
+            if let Some(k) = IocKind::ALL.iter().position(|&k| Tkg::node_kind(k) == kind) {
+                dirty[k].push((node, sv));
             }
         }
+        let mut written = Vec::new();
+        let kinds = IocKind::ALL.iter().zip(encoders).zip(scalers).zip(&dirty);
+        for (((&kind, ae), scaler), rows) in kinds {
+            encode_rows(rows, kind, ae, scaler, batch_size, &mut self.codes);
+            written.extend(rows.iter().map(|&(node, _)| node.index()));
+        }
+        self.encoded += written.len() as u64;
+        self.rows_recomputed += written.len() as u64;
         written
     }
 }

@@ -55,7 +55,8 @@ impl SparseVec {
 
     /// Content fingerprint over the `(index, value-bits)` entries and
     /// the logical width. Equal vectors always fingerprint equally, so
-    /// the incremental code cache can key encoded rows on it.
+    /// a per-row sweep can key encoded rows on it (the code cache's
+    /// test oracle does).
     pub fn fingerprint(&self) -> u64 {
         self.as_ref().fingerprint()
     }
@@ -78,8 +79,7 @@ impl SparseVec {
 /// Borrowed view of a sparse vector: the storage-agnostic form every
 /// feature consumer works with. An owned [`SparseVec`] and an arena
 /// span (see [`FeatureArena`]) present identically through it, and the
-/// fingerprint runs over the same bytes either way — the incremental
-/// code cache's dirty-row detection depends on that.
+/// fingerprint runs over the same bytes either way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparseRef<'a> {
     /// Logical width.
@@ -127,13 +127,17 @@ impl SparseRef<'_> {
 /// span table, replacing a `HashMap<NodeId, SparseVec>` whose per-node
 /// `Vec` allocations (3 words of header + a separate heap block each)
 /// dominated feature-store memory at paper scale. Insert-only,
-/// first-write-wins, matching the enrichment idempotency contract.
+/// first-write-wins, matching the enrichment idempotency contract: a
+/// stored span is never rewritten, so the spans stored since some
+/// point are exactly the rows that changed since then.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureArena {
     /// Concatenated entry storage for all stored vectors.
     entries: Vec<(u32, f32)>,
     /// `(start, len, dims)` per stored vector, in insertion order.
     spans: Vec<(u32, u32, u32)>,
+    /// Node index per span, in insertion order.
+    owners: Vec<u32>,
     /// Node index → span index; `u32::MAX` = no features.
     slot: Vec<u32>,
 }
@@ -167,7 +171,19 @@ impl FeatureArena {
             u32::try_from(self.spans.len()).expect("span table bounded by node count");
         self.spans
             .push((start as u32, sv.entries.len() as u32, sv.dims));
+        self.owners
+            .push(u32::try_from(node).expect("node index fits the u32 span domain"));
         true
+    }
+
+    /// Iterate `(node index, features)` of the spans stored from the
+    /// `from`-th on, in insertion order.
+    pub fn iter_since(&self, from: usize) -> impl Iterator<Item = (usize, SparseRef<'_>)> {
+        let owners = self.owners.get(from..).unwrap_or_default();
+        owners.iter().map(move |&node| {
+            let node = node as usize;
+            (node, self.get(node).expect("owner holds a span"))
+        })
     }
 
     /// Borrow the features of node index `node`, if stored.
@@ -209,11 +225,12 @@ impl FeatureArena {
             .map(move |(node, _)| (node, self.get(node).expect("slot points at a span")))
     }
 
-    /// Heap bytes held by the arena (entry slab + span table + slots).
+    /// Heap bytes held by the arena (entry slab + span table + span
+    /// owners + slots).
     pub fn heap_bytes(&self) -> usize {
         self.entries.len() * std::mem::size_of::<(u32, f32)>()
             + self.spans.len() * std::mem::size_of::<(u32, u32, u32)>()
-            + self.slot.len() * std::mem::size_of::<u32>()
+            + (self.owners.len() + self.slot.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -285,7 +302,7 @@ mod tests {
         assert_eq!(r.to_dense(), sv.to_dense());
         assert_eq!(r.get(3), -2.0);
         assert_eq!(r.get(0), 0.0);
-        // Byte-identical fingerprints: the code cache keys on this.
+        // Byte-identical fingerprints, whatever the storage.
         assert_eq!(r.fingerprint(), sv.fingerprint());
     }
 
@@ -310,7 +327,14 @@ mod tests {
             vec![2, 5],
             "iteration must be ascending by node index"
         );
-        assert!(arena.heap_bytes() > 0);
+        let written: Vec<usize> = arena.iter_since(0).map(|(n, _)| n).collect();
+        assert_eq!(written, vec![5, 2], "iter_since is insertion order");
+        let since: Vec<usize> = arena.iter_since(1).map(|(n, _)| n).collect();
+        assert_eq!(since, vec![2]);
+        assert_eq!(arena.iter_since(2).count(), 0);
+        assert_eq!(arena.iter_since(9).count(), 0);
+        // 2 entries, 2 spans, 2 owners, 6 slots.
+        assert_eq!(arena.heap_bytes(), 2 * 8 + 2 * 12 + (2 + 6) * 4);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! collection. [`StreamRuntime`] closes that gap: it accepts reports
 //! one at a time (or in micro-batches), runs each through the existing
 //! collect → enrich → merge path, delta-merges the frozen CSR via
-//! [`Csr::merge_appended`], re-encodes only dirty rows through
+//! [`Csr::merge_appended`], encodes only newly featured rows through
 //! [`CodeCache`], and fires periodic *ticks* — label-propagation check
 //! plus GNN fine-tune over the events accumulated since the last tick.
 //!
@@ -29,9 +29,10 @@
 //!   the order the batch path ingests — healing within-batch
 //!   reordering instead of diverging under it.
 //! * **Content-keyed incremental state.** The delta CSR merge and the
-//!   fingerprint-keyed code cache depend only on the store's content,
-//!   never on how many merge steps produced it (pinned byte-for-byte
-//!   by the `merge_appended` audit tests).
+//!   code cache depend only on the store (its content and its feature
+//!   write order), never on how many merge steps or refreshes produced
+//!   it (pinned byte-for-byte by the `merge_appended` audit tests and
+//!   `code_cache_refresh_equals_compute_codes`).
 //! * **Deterministic enrichment.** World faults are deterministic per
 //!   `(key, attempt)`, features are first-write-wins, and analyses are
 //!   evaluated as-of a day derived from the event via [`AsofPolicy`] —
@@ -437,8 +438,9 @@ impl StreamRuntime {
     }
 
     /// Bring the incremental state up to date with the grown TKG:
-    /// delta-merge the frozen CSR and refresh dirty code-cache rows.
-    /// Idempotent and cheap when nothing grew.
+    /// delta-merge the frozen CSR and encode the feature rows written
+    /// since the last sync. Costs what the graph grew by: nothing but
+    /// a few comparisons when it did not grow.
     fn sync(&mut self) {
         let t = Instant::now();
         let csr = self.inc_csr.take().expect("present between calls");
@@ -642,9 +644,10 @@ impl StreamRuntime {
     /// `trail-serve` packages into a bundle (the re-freeze half of
     /// bundle hot-swap; see [`crate::freeze::refreeze`]).
     ///
-    /// Catches the incremental state up first (delta CSR merge +
-    /// dirty-row re-encode), then clones the current codes and the
-    /// fresh model's weights. Draws no RNG and fires no tick, so
+    /// Catches the incremental state up first ([`Self::sync`]: right
+    /// after a tick that is a no-op, otherwise it merges and encodes
+    /// only what was pushed since), then clones the current codes and
+    /// the fresh model's weights. Draws no RNG and fires no tick, so
     /// freezing never perturbs the stream/batch equivalence contract —
     /// `&mut` only because [`Self::sync`] folds pending graph growth
     /// into the caches.
@@ -672,7 +675,7 @@ impl StreamRuntime {
     }
 
     /// Total wall clock spent keeping the incremental state current
-    /// (delta merges and dirty-row re-encodes) — the
+    /// (delta merges and new-row encodes) — the
     /// work that replaces full input rebuilds. Measurement only.
     pub fn sync_seconds(&self) -> f64 {
         self.sync_secs

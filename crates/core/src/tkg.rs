@@ -94,6 +94,16 @@ impl Tkg {
         self.features.get(node.index())
     }
 
+    /// Featured nodes whose features were stored from the `from`-th
+    /// write on, in write order. Writes are first-write-wins, so these
+    /// are exactly the feature rows added since a reader saw `from`
+    /// writes, whenever their nodes were created.
+    pub fn features_since(&self, from: usize) -> impl Iterator<Item = (NodeId, SparseRef<'_>)> {
+        self.features
+            .iter_since(from)
+            .map(|(node, sv)| (NodeId::from(node), sv))
+    }
+
     /// Heap bytes held by the feature store.
     pub fn feature_heap_bytes(&self) -> usize {
         self.features.heap_bytes()

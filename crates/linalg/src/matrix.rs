@@ -36,6 +36,15 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Resize to `rows` rows, keeping the leading rows and zero-filling
+    /// new ones. The buffer grows by amortised capacity, so a matrix
+    /// grown a few rows at a time is copied O(log n) times in all, not
+    /// once per call.
+    pub fn resize_rows(&mut self, rows: usize) {
+        self.data.resize(rows * self.cols, 0.0);
+        self.rows = rows;
+    }
+
     /// Create a matrix from a closure over `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -534,6 +543,15 @@ mod tests {
         let i = Matrix::identity(2);
         assert_eq!(a.matmul(&i).unwrap(), a);
         assert_eq!(i.matmul(&a).unwrap(), a);
+    }
+
+    #[test]
+    fn resize_rows_keeps_leading_rows_and_zero_fills() {
+        let mut a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
+        a.resize_rows(3);
+        assert_eq!(a, m(3, 2, &[1.0, 2.0, 3.0, 4.0, 0.0, 0.0]));
+        a.resize_rows(1);
+        assert_eq!(a, m(1, 2, &[1.0, 2.0]));
     }
 
     #[test]

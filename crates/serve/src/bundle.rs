@@ -120,13 +120,13 @@ pub struct ServeBundle {
 impl ServeBundle {
     /// Freeze a trained system into an immutable bundle.
     ///
-    /// The graph is round-tripped through its TKG2 encoding rather than
-    /// cloned, so a freshly frozen bundle and one reloaded from disk
-    /// are built from byte-identical graph state.
+    /// The graph is cloned. A graph decoded from its TKG2 encoding
+    /// equals the live one, so a freshly frozen bundle and one reloaded
+    /// from disk hold the same state and encode to the same bytes
+    /// (`frozen_bundle_equals_its_byte_round_trip` pins this).
     pub fn freeze(tkg: &Tkg, frozen: &FrozenModel) -> Result<Self> {
         let _span = trail_obs::span("serve.freeze");
         check_layers(&frozen.sage_cfg, &frozen.layers)?;
-        let graph = persist::from_bytes(&persist::to_bytes(&tkg.graph)).map_err(graph_err)?;
         let events = tkg
             .events
             .iter()
@@ -137,7 +137,7 @@ impl ServeBundle {
             })
             .collect();
         Self::assemble(
-            graph,
+            tkg.graph.clone(),
             tkg.registry.names().to_vec(),
             events,
             frozen.code_dim,

@@ -335,7 +335,8 @@ macro_rules! prop_assert_ne {
 }
 
 /// The `proptest!` block macro: expands each `fn name(pat in strategy)`
-/// item into a `#[test]` that loops `cases` times over generated inputs.
+/// item into a fn that loops `cases` times over generated inputs. As
+/// upstream, the caller writes `#[test]` on each fn inside the block.
 #[macro_export]
 macro_rules! proptest {
     (@cfg ($cfg:expr)) => {};
@@ -345,7 +346,6 @@ macro_rules! proptest {
         $($rest:tt)*
     ) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let cfg: $crate::ProptestConfig = $cfg;
             let mut rng = $crate::fresh_rng(concat!(module_path!(), "::", stringify!($name)));
