@@ -3,6 +3,7 @@
 #![allow(dead_code)]
 
 pub mod serve_oracle;
+pub mod store_writes;
 pub mod study_oracle;
 pub mod train_oracle;
 
