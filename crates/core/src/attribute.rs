@@ -399,9 +399,8 @@ pub fn eval_event_ml<R: Rng + ?Sized>(
                 let reporters: Vec<NodeId> = tkg
                     .graph
                     .in_neighbors(id)
-                    .iter()
                     .filter(|(_, ek)| *ek == trail_graph::EdgeKind::InReport)
-                    .map(|&(src, _)| src)
+                    .map(|(src, _)| src)
                     .collect();
                 if !reporters.iter().all(|r| train_events.contains(r)) {
                     continue;
@@ -459,13 +458,12 @@ pub fn eval_event_ml<R: Rng + ?Sized>(
                 let iocs: Vec<NodeId> = tkg
                     .graph
                     .out_neighbors(info.node)
-                    .iter()
-                    .filter(|&&(dst, ek)| {
+                    .filter(|&(dst, ek)| {
                         ek == trail_graph::EdgeKind::InReport
                             && tkg.graph.node(dst).kind == Tkg::node_kind(kind)
                             && tkg.has_features(dst)
                     })
-                    .map(|&(dst, _)| dst)
+                    .map(|(dst, _)| dst)
                     .collect();
                 if iocs.is_empty() {
                     continue;

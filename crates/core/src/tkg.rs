@@ -187,9 +187,8 @@ impl Tkg {
         let mut apts: Vec<u16> = self
             .graph
             .in_neighbors(node)
-            .iter()
             .filter(|(_, kind)| *kind == trail_graph::EdgeKind::InReport)
-            .filter_map(|(src, _)| self.graph.node(*src).label())
+            .filter_map(|(src, _)| self.graph.node(src).label())
             .map(|l| l.0)
             .collect();
         apts.sort_unstable();
@@ -202,7 +201,6 @@ impl Tkg {
     pub fn reuse_count(&self, node: NodeId) -> usize {
         self.graph
             .in_neighbors(node)
-            .iter()
             .filter(|(_, kind)| *kind == trail_graph::EdgeKind::InReport)
             .count()
     }

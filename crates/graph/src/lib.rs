@@ -25,7 +25,7 @@ pub use csr::{Csr, WideCsr};
 pub use ids::NodeId;
 pub use persist::PersistError;
 pub use schema::{EdgeKind, NodeKind};
-pub use store::{GraphStore, NodeRecord};
+pub use store::{GraphStore, Neighbors, NodeRecord};
 pub use sym::{Interner, Sym};
 
 /// Errors raised by graph mutation and persistence.

@@ -299,7 +299,10 @@ mod tests {
         assert_eq!(g2.node(e).label(), Some(LabelId(5)));
         let ip = g2.find_node(NodeKind::Ip, "1.2.3.4").unwrap();
         assert!(g2.node(ip).first_order());
-        assert_eq!(g2.out_neighbors(e), &[(ip, EdgeKind::InReport)]);
+        assert_eq!(
+            g2.out_neighbors(e).collect::<Vec<_>>(),
+            [(ip, EdgeKind::InReport)]
+        );
     }
 
     #[test]

@@ -80,11 +80,38 @@ pub struct Edge {
     pub kind: EdgeKind,
 }
 
+/// Index of the out-list in a node's [`Lists`] and an edge's links.
+const OUT: usize = 0;
+/// Index of the in-list.
+const IN: usize = 1;
+
+/// One adjacency list of one node, threaded through the edge array:
+/// its first and last edge (indices into `edges`) and its length. The
+/// ends are meaningless while `len` is 0.
+#[derive(Debug, Clone, Copy, Default)]
+struct List {
+    first: u32,
+    last: u32,
+    len: u32,
+}
+
+/// A node's out-list and in-list, indexed by [`OUT`] and [`IN`].
+type Lists = [List; 2];
+
 /// Mutable TKG store with key-deduplication and Table I schema checks.
 ///
 /// Parallel edges of the same kind are rejected (idempotent insert), so
 /// repeated enrichment of overlapping reports converges — the property
 /// the paper relies on when merging 4,512 event subgraphs.
+///
+/// Every field is a flat array of `Copy` values (or a hash table of
+/// them), so `clone` and `drop` cost a fixed number of allocations
+/// however large the graph is: a publish copies the graph in a few
+/// `memcpy`s. Adjacency is a linked list per node threaded through the
+/// edge array: each node holds the ends of its out- and in-list, each
+/// edge the next edge of its source's out-list and of its
+/// destination's in-list. Appending an edge is O(1) and the lists keep
+/// insertion order.
 #[derive(Debug, Clone, Default)]
 pub struct GraphStore {
     nodes: Vec<NodeRecord>,
@@ -94,9 +121,51 @@ pub struct GraphStore {
     syms: Interner,
     key_index: HashMap<(NodeKind, Sym), NodeId>,
     edge_set: HashSet<(u32, u32, u8)>,
-    out: Vec<Vec<(NodeId, EdgeKind)>>,
-    inn: Vec<Vec<(NodeId, EdgeKind)>>,
+    /// Per node: the ends of its out- and in-list.
+    lists: Vec<Lists>,
+    /// Per edge: the next edge of its out-list and of its in-list
+    /// (read only while the list's length says one follows).
+    next: Vec<[u32; 2]>,
 }
+
+/// The neighbours of one node along one direction, in edge insertion
+/// order: `(neighbour, edge kind)` pairs. Returned by
+/// [`GraphStore::out_neighbors`] and [`GraphStore::in_neighbors`].
+#[derive(Debug, Clone)]
+pub struct Neighbors<'a> {
+    edges: &'a [Edge],
+    next: &'a [[u32; 2]],
+    dir: usize,
+    at: u32,
+    left: u32,
+}
+
+impl Iterator for Neighbors<'_> {
+    type Item = (NodeId, EdgeKind);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let i = self.at as usize;
+        let e = self.edges[i];
+        self.left -= 1;
+        if self.left > 0 {
+            self.at = self.next[i][self.dir];
+        }
+        Some((if self.dir == OUT { e.dst } else { e.src }, e.kind))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
+}
+
+impl ExactSizeIterator for Neighbors<'_> {}
+
+impl std::iter::FusedIterator for Neighbors<'_> {}
 
 impl GraphStore {
     /// An empty graph.
@@ -112,8 +181,8 @@ impl GraphStore {
             syms: Interner::with_capacity(nodes),
             key_index: HashMap::with_capacity(nodes),
             edge_set: HashSet::with_capacity(edges),
-            out: Vec::with_capacity(nodes),
-            inn: Vec::with_capacity(nodes),
+            lists: Vec::with_capacity(nodes),
+            next: Vec::with_capacity(edges),
         }
     }
 
@@ -147,8 +216,7 @@ impl GraphStore {
         let id = NodeId::from(self.nodes.len());
         self.nodes.push(NodeRecord::new(kind, sym));
         self.key_index.insert((kind, sym), id);
-        self.out.push(Vec::new());
-        self.inn.push(Vec::new());
+        self.lists.push(Lists::default());
         (id, true)
     }
 
@@ -224,24 +292,55 @@ impl GraphStore {
             return Ok(false);
         }
         self.edges.push(Edge { src, dst, kind });
-        self.out[src.index()].push((dst, kind));
-        self.inn[dst.index()].push((src, kind));
+        self.next.push([0; 2]);
+        self.link(self.edges.len() - 1);
         Ok(true)
     }
 
-    /// Out-neighbours of a node with edge kinds.
-    pub fn out_neighbors(&self, id: NodeId) -> &[(NodeId, EdgeKind)] {
-        &self.out[id.index()]
+    /// Append edge `e` to its source's out-list and its destination's
+    /// in-list.
+    fn link(&mut self, e: usize) {
+        let Edge { src, dst, .. } = self.edges[e];
+        let e = u32::try_from(e).expect("edge index overflows u32");
+        for (dir, node) in [(OUT, src), (IN, dst)] {
+            let list = &mut self.lists[node.index()][dir];
+            if list.len == 0 {
+                list.first = e;
+            } else {
+                self.next[list.last as usize][dir] = e;
+            }
+            list.last = e;
+            list.len += 1;
+        }
     }
 
-    /// In-neighbours of a node with edge kinds.
-    pub fn in_neighbors(&self, id: NodeId) -> &[(NodeId, EdgeKind)] {
-        &self.inn[id.index()]
+    fn neighbors(&self, id: NodeId, dir: usize) -> Neighbors<'_> {
+        let list = self.lists[id.index()][dir];
+        Neighbors {
+            edges: &self.edges,
+            next: &self.next,
+            dir,
+            at: list.first,
+            left: list.len,
+        }
+    }
+
+    /// Out-neighbours of a node with edge kinds, in edge insertion
+    /// order.
+    pub fn out_neighbors(&self, id: NodeId) -> Neighbors<'_> {
+        self.neighbors(id, OUT)
+    }
+
+    /// In-neighbours of a node with edge kinds, in edge insertion
+    /// order.
+    pub fn in_neighbors(&self, id: NodeId) -> Neighbors<'_> {
+        self.neighbors(id, IN)
     }
 
     /// Undirected degree (in + out).
     pub fn degree(&self, id: NodeId) -> usize {
-        self.out[id.index()].len() + self.inn[id.index()].len()
+        let [out, inn] = self.lists[id.index()];
+        out.len as usize + inn.len as usize
     }
 
     /// All node ids of a given kind.
@@ -325,8 +424,9 @@ impl GraphStore {
         (sub, mapping)
     }
 
-    /// Rebuild the lookup indices after deserialisation (they are skipped
-    /// in the snapshot to halve its size).
+    /// Rebuild the lookup indices and relink the adjacency lists in one
+    /// pass over the edges (the indices are skipped in the snapshot to
+    /// halve its size).
     pub fn rebuild_indices(&mut self) {
         self.syms.rebuild();
         self.key_index = self
@@ -340,11 +440,12 @@ impl GraphStore {
             .iter()
             .map(|e| (e.src.0, e.dst.0, e.kind.index() as u8))
             .collect();
-        self.out = vec![Vec::new(); self.nodes.len()];
-        self.inn = vec![Vec::new(); self.nodes.len()];
-        for e in &self.edges {
-            self.out[e.src.index()].push((e.dst, e.kind));
-            self.inn[e.dst.index()].push((e.src, e.kind));
+        self.lists.clear();
+        self.lists.resize(self.nodes.len(), Lists::default());
+        self.next.clear();
+        self.next.resize(self.edges.len(), [0; 2]);
+        for e in 0..self.edges.len() {
+            self.link(e);
         }
     }
 }
@@ -461,7 +562,10 @@ mod tests {
         assert_eq!(sub.edge_count(), 1); // only ip -> domain survives
         let new_ip = mapping[ip.index()].unwrap();
         let new_d = mapping[d.index()].unwrap();
-        assert_eq!(sub.out_neighbors(new_ip), &[(new_d, EdgeKind::ARecord)]);
+        assert_eq!(
+            sub.out_neighbors(new_ip).collect::<Vec<_>>(),
+            [(new_d, EdgeKind::ARecord)]
+        );
     }
 
     #[test]

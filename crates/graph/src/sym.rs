@@ -4,10 +4,10 @@
 //! which forced a `String` allocation on *every* lookup probe — the
 //! enrichment hot loop probes far more often than it inserts. The
 //! [`Interner`] assigns each distinct key text a dense [`Sym`] handle
-//! (a `u32`), stores the text exactly once, and answers borrow-based
-//! `&str` lookups without allocating: the probe hashes the borrowed
-//! text with FNV-1a and compares it against the interned strings in an
-//! open-addressed bucket table.
+//! (a `u32`), stores the text exactly once in one arena string, and
+//! answers borrow-based `&str` lookups without allocating: the probe
+//! hashes the borrowed text with FNV-1a and compares it against the
+//! interned texts in an open-addressed bucket table.
 //!
 //! Interning rules (see DESIGN.md §10): symbols are handed out in
 //! first-appearance order and are never freed, so a `Sym` is a stable,
@@ -47,14 +47,35 @@ fn needs_grow(len: usize, capacity: usize) -> bool {
     len * 4 >= capacity * 3
 }
 
+/// The arena end offset after appending `add` bytes to `len`.
+///
+/// # Panics
+/// When the end does not fit the `u32` offsets ("interner full").
+#[inline]
+fn arena_end(len: usize, add: usize) -> u32 {
+    len.checked_add(add)
+        .and_then(|end| u32::try_from(end).ok())
+        .expect("interner full")
+}
+
 /// A deduplicating string table with allocation-free `&str` probes.
+///
+/// Flat storage: every interned text lives in one `arena` string,
+/// concatenated in symbol order, and `ends[i]` is the arena offset
+/// where symbol `i`'s text ends (it starts where symbol `i - 1`'s
+/// ends). Cloning or dropping an interner is three allocations
+/// whatever it holds, where a `String` per key made both cost one
+/// allocation per key. Offsets are `u32`, so the arena holds at most
+/// 4 GiB of key text; interning past that panics ("interner full"),
+/// like interning past `u32::MAX - 1` symbols.
 ///
 /// Only the string storage is serialized; the probe table is rebuilt
 /// on demand (snapshots already rebuild all lookup indices on load —
 /// see [`crate::GraphStore::rebuild_indices`]).
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
-    strings: Vec<String>,
+    arena: String,
+    ends: Vec<u32>,
     buckets: Vec<u32>,
 }
 
@@ -71,7 +92,8 @@ impl Interner {
             cap *= 2;
         }
         Self {
-            strings: Vec::with_capacity(n),
+            arena: String::new(),
+            ends: Vec::with_capacity(n),
             buckets: vec![EMPTY; cap],
         }
     }
@@ -79,24 +101,39 @@ impl Interner {
     /// Number of distinct strings interned.
     #[inline]
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Whether nothing has been interned.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// The text of a symbol.
     #[inline]
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.index()]
+        &self.arena[self.span(sym.0)]
+    }
+
+    /// The arena range of symbol `id`'s text.
+    #[inline]
+    fn span(&self, id: u32) -> std::ops::Range<usize> {
+        let i = id as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        start..self.ends[i] as usize
+    }
+
+    /// The bytes of symbol `id`'s text (no char-boundary checks, which
+    /// a probe comparing bytes does not need).
+    #[inline]
+    fn bytes(&self, id: u32) -> &[u8] {
+        &self.arena.as_bytes()[self.span(id)]
     }
 
     /// Find the symbol of `text` if it was ever interned. Never
     /// allocates: the probe hashes the borrowed bytes and compares
-    /// `&str` against the stored strings directly.
+    /// them against the arena slices directly.
     pub fn lookup(&self, text: &str) -> Option<Sym> {
         if self.buckets.is_empty() {
             return None;
@@ -106,21 +143,23 @@ impl Interner {
         loop {
             match self.buckets[i] {
                 EMPTY => return None,
-                id if self.strings[id as usize] == text => return Some(Sym(id)),
+                id if self.bytes(id) == text.as_bytes() => return Some(Sym(id)),
                 _ => i = (i + 1) & mask,
             }
         }
     }
 
-    /// Intern `text`, allocating its owned copy only on first sight.
+    /// Intern `text`, appending it to the arena only on first sight.
     pub fn intern(&mut self, text: &str) -> Sym {
         if let Some(sym) = self.lookup(text) {
             return sym;
         }
-        let id = self.strings.len() as u32;
+        let id = self.ends.len() as u32;
         assert!(id != EMPTY, "interner full");
-        self.strings.push(text.to_owned());
-        if needs_grow(self.strings.len(), self.buckets.len().max(1)) || self.buckets.is_empty() {
+        let end = arena_end(self.arena.len(), text.len());
+        self.arena.push_str(text);
+        self.ends.push(end);
+        if needs_grow(self.ends.len(), self.buckets.len().max(1)) || self.buckets.is_empty() {
             self.rehash();
         } else {
             self.place(id);
@@ -137,7 +176,7 @@ impl Interner {
     /// Drop a bucket id into its probe chain (slot must be free).
     fn place(&mut self, id: u32) {
         let mask = self.buckets.len() - 1;
-        let mut i = fnv1a(&self.strings[id as usize]) as usize & mask;
+        let mut i = fnv1a(self.bytes(id)) as usize & mask;
         while self.buckets[i] != EMPTY {
             i = (i + 1) & mask;
         }
@@ -146,12 +185,12 @@ impl Interner {
 
     fn rehash(&mut self) {
         let mut cap = 8usize;
-        while needs_grow(self.strings.len(), cap) {
+        while needs_grow(self.ends.len(), cap) {
             cap *= 2;
         }
         self.buckets.clear();
         self.buckets.resize(cap, EMPTY);
-        for id in 0..self.strings.len() as u32 {
+        for id in 0..self.ends.len() as u32 {
             self.place(id);
         }
     }
@@ -201,6 +240,15 @@ mod tests {
             assert_eq!(it.lookup(&format!("key-{i}")), Some(s));
         }
         assert_eq!(it.len(), 1000);
+    }
+
+    #[test]
+    fn arena_offsets_are_checked() {
+        assert_eq!(arena_end(0, 0), 0);
+        assert_eq!(arena_end(u32::MAX as usize - 3, 3), u32::MAX);
+        let past = std::panic::catch_unwind(|| arena_end(u32::MAX as usize - 3, 4));
+        assert!(past.is_err(), "an end past u32::MAX must panic");
+        assert!(std::panic::catch_unwind(|| arena_end(usize::MAX, 1)).is_err());
     }
 
     #[test]

@@ -283,6 +283,42 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_installs_get_distinct_consecutive_generations() {
+        let _g = obs_lock();
+        let bundle = Arc::new(tiny_bundle());
+        let breaker = Arc::new(CircuitBreaker::new(BreakerConfig::default()));
+        let rt = ServeRuntime::new(Arc::clone(&bundle), breaker, RuntimeConfig::default());
+        let (threads, per_thread) = (4, 6);
+        let start = std::sync::Barrier::new(threads);
+        let mut gens: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        (0..per_thread)
+                            .map(|_| rt.install(Arc::clone(&bundle)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("installer"))
+                .collect()
+        });
+        let n = (threads * per_thread) as u64;
+        gens.sort_unstable();
+        assert_eq!(gens, (1..=n).collect::<Vec<_>>(), "numbers are distinct");
+        let ledger: Vec<u64> = rt.generation_stats().iter().map(|&(g, _)| g).collect();
+        assert_eq!(
+            ledger,
+            (0..=n).collect::<Vec<_>>(),
+            "one ledger entry each, in order"
+        );
+        assert_eq!(rt.generation(), n);
+    }
+
+    #[test]
     fn loadgen_is_deterministic_for_a_seed() {
         let bundle = Arc::new(tiny_bundle());
         let breaker = Arc::new(CircuitBreaker::new(BreakerConfig::default()));

@@ -167,8 +167,14 @@ impl Generation {
 /// hot swap.
 pub struct ServeRuntime {
     /// The generation slot. Locked only to clone the `Arc` out (pin)
-    /// or store a new one (install) — never across scoring.
+    /// or swap a new one in (install) — never across scoring, and never
+    /// while the replaced generation is freed.
     current: Mutex<Arc<Generation>>,
+    /// Held by [`ServeRuntime::install`] from reading the current
+    /// generation number to storing its successor, so concurrent
+    /// installs get distinct, consecutive numbers. Readers never take
+    /// it.
+    installing: Mutex<()>,
     breaker: Arc<CircuitBreaker>,
     limits: QueryLimits,
     replica_count: usize,
@@ -186,6 +192,7 @@ impl ServeRuntime {
         let stats = Mutex::new(vec![(0, g.completed.clone())]);
         Self {
             current: Mutex::new(Arc::new(g)),
+            installing: Mutex::new(()),
             breaker,
             limits: cfg.limits,
             replica_count: cfg.replicas.max(1),
@@ -198,18 +205,25 @@ impl ServeRuntime {
     /// pool is fully built *before* the slot flips, so no request can
     /// ever pin a generation whose replicas do not match its bundle.
     /// In-flight requests keep serving their pinned generation; new
-    /// requests observe the new one. Bumps `serve.swaps`.
+    /// requests observe the new one. Concurrent installs are numbered
+    /// one after another, in the order they flip the slot. Bumps
+    /// `serve.swaps`.
     pub fn install(&self, bundle: Arc<ServeBundle>) -> u64 {
         let _span = trail_obs::span("serve.swap");
-        let next = self.current.lock().expect("generation slot").gen + 1;
-        // Build outside the lock: instantiation is the expensive part
-        // and must not block readers.
+        let installing = self.installing.lock().expect("installer lock");
+        let next = self.pin().gen + 1;
+        // Build outside the slot lock: instantiation is the expensive
+        // part and must not block readers.
         let g = Arc::new(Generation::build(next, bundle, self.replica_count));
         self.stats
             .lock()
             .expect("stats ledger")
             .push((next, g.completed.clone()));
-        *self.current.lock().expect("generation slot") = g;
+        let old = std::mem::replace(&mut *self.current.lock().expect("generation slot"), g);
+        drop(installing);
+        // The slot guard is gone: freeing the old generation (when no
+        // request still pins it) blocks no `pin`.
+        drop(old);
         trail_obs::counter_add("serve.swaps", 1);
         next
     }

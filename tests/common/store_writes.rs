@@ -1,8 +1,9 @@
-//! A small feature store built from a replayable log of writes, for
-//! the code-cache tests: nodes created with or without features, and
-//! late features written to nodes created earlier (as enrichment
-//! does). Replaying a prefix or an edited log gives the stores a cache
-//! must either extend or rebuild from.
+//! A small store built from a replayable log of writes: nodes created
+//! with or without features, late features written to nodes created
+//! earlier (as enrichment does), nodes under chosen key texts, and
+//! edges. The code-cache tests replay a prefix or an edited log to get
+//! the stores a cache must either extend or rebuild from; the store
+//! tests check the graph's adjacency and keys against the log.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use trail::collector::AptRegistry;
 use trail::sparse::SparseVec;
 use trail::tkg::Tkg;
-use trail_graph::{NodeId, NodeKind};
+use trail_graph::{EdgeKind, NodeId, NodeKind};
 use trail_ioc::types::IocKind;
 
 /// One write of a code-cache test store, replayable into a fresh
@@ -21,7 +22,26 @@ pub enum StoreWrite {
     Node(NodeKind, Option<u64>),
     /// Late features, from `seed`, for an existing node.
     Feature(NodeId, u64),
+    /// A node under the key text given, without features; the store
+    /// keeps an existing node of that kind and key as it is.
+    Keyed(NodeKind, &'static str),
+    /// An edge; the store ignores a duplicate and rejects a pair the
+    /// schema forbids, so either leaves it unchanged.
+    Edge(NodeId, NodeId, EdgeKind),
 }
+
+/// Key texts for [`StoreWrite::Keyed`]: the empty text, non-ASCII
+/// texts and one that differs from another only in case.
+pub const ODD_KEYS: [&str; 8] = [
+    "",
+    "é",
+    "E",
+    "e",
+    "пример.рф",
+    "例え.テスト",
+    "🦀.example",
+    "straße.de",
+];
 
 /// The node kinds that carry IOC features.
 pub const IOC_NODE_KINDS: [NodeKind; 3] = [NodeKind::Url, NodeKind::Ip, NodeKind::Domain];
@@ -55,6 +75,12 @@ pub fn apply_write(tkg: &mut Tkg, write: StoreWrite) {
         StoreWrite::Feature(id, seed) => {
             let kind = tkg.graph.node(id).kind;
             tkg.set_features(id, cache_features(kind, seed));
+        }
+        StoreWrite::Keyed(kind, key) => {
+            tkg.graph.upsert_node(kind, key);
+        }
+        StoreWrite::Edge(src, dst, kind) => {
+            tkg.graph.add_edge(src, dst, kind).ok();
         }
     }
 }

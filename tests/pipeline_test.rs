@@ -74,8 +74,7 @@ fn secondary_nodes_exist_and_are_not_first_order() {
                 .tkg
                 .graph
                 .in_neighbors(id)
-                .iter()
-                .any(|(_, k)| *k == EdgeKind::InReport);
+                .any(|(_, k)| k == EdgeKind::InReport);
             assert!(!reported, "secondary node {} has an InReport edge", rec.key);
         }
     }

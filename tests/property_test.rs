@@ -5,7 +5,9 @@ mod common;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use common::store_writes::{apply_write, replay_writes, StoreWrite, SweepOracle, IOC_NODE_KINDS};
+use common::store_writes::{
+    apply_write, replay_writes, StoreWrite, SweepOracle, IOC_NODE_KINDS, ODD_KEYS,
+};
 use common::{obs_lock, serve_oracle, train_oracle};
 
 use proptest::prelude::*;
@@ -18,7 +20,7 @@ use trail::tkg::Tkg;
 use trail_gnn::train::{fine_tune_masked, predict_events, train_sage_masked};
 use trail_gnn::{FineTune, LabelMasking, LabelPropagation, SageConfig, SageModel, TrainConfig};
 use trail_graph::algo::{k_hop, Ball};
-use trail_graph::{Csr, EdgeKind, GraphStore, Interner, NodeId, NodeKind};
+use trail_graph::{persist, Csr, EdgeKind, GraphStore, Interner, NodeId, NodeKind};
 use trail_ioc::defang::{defang, refang};
 use trail_ioc::domain::DomainIoc;
 use trail_ioc::ip::IpIoc;
@@ -187,6 +189,64 @@ fn serve_world(
     };
     let bundle = ServeBundle::freeze(&tkg, &frozen).expect("valid bundle");
     (bundle, frozen, keys)
+}
+
+/// Check `g` against the layouts the store kept before its adjacency
+/// and keys were made flat: the `(kind, key)` of every node, in id
+/// order, and per-node out- and in-lists rebuilt by scanning `edges()`
+/// in order. `edges` are the edges the store must hold, in insertion
+/// order; `name` says which copy of the store failed.
+fn check_store(
+    name: &str,
+    g: &GraphStore,
+    keys: &[(NodeKind, String)],
+    edges: &[(NodeId, NodeId, EdgeKind)],
+) {
+    assert_eq!(g.node_count(), keys.len(), "{name}: node count");
+    let held: Vec<_> = g.edges().iter().map(|e| (e.src, e.dst, e.kind)).collect();
+    assert_eq!(held, edges, "{name}: edges");
+    let mut out = vec![Vec::new(); keys.len()];
+    let mut inn = vec![Vec::new(); keys.len()];
+    for e in g.edges() {
+        out[e.src.index()].push((e.dst, e.kind));
+        inn[e.dst.index()].push((e.src, e.kind));
+    }
+    for (i, (kind, key)) in keys.iter().enumerate() {
+        let id = NodeId::from(i);
+        let (o, n) = (g.out_neighbors(id), g.in_neighbors(id));
+        assert_eq!(
+            (o.len(), n.len()),
+            (out[i].len(), inn[i].len()),
+            "{name}: list lengths of node {i}"
+        );
+        assert_eq!(
+            o.collect::<Vec<_>>(),
+            out[i],
+            "{name}: out-list of node {i}"
+        );
+        assert_eq!(n.collect::<Vec<_>>(), inn[i], "{name}: in-list of node {i}");
+        assert_eq!(
+            g.degree(id),
+            out[i].len() + inn[i].len(),
+            "{name}: degree of node {i}"
+        );
+        assert_eq!(g.node(id).kind, *kind, "{name}: kind of node {i}");
+        assert_eq!(g.key(id), key, "{name}: key of node {i}");
+        assert_eq!(g.find_node(*kind, key), Some(id), "{name}: find {key:?}");
+    }
+    for kind in NodeKind::ALL {
+        for key in ODD_KEYS {
+            let expect = keys
+                .iter()
+                .position(|(k, t)| *k == kind && t == key)
+                .map(NodeId::from);
+            assert_eq!(
+                g.find_node(kind, key),
+                expect,
+                "{name}: find {kind:?} {key:?}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -650,6 +710,7 @@ proptest! {
                         match log[i] {
                             StoreWrite::Node(kind, _) => log[i] = StoreWrite::Node(kind, None),
                             StoreWrite::Feature(..) => { log.remove(i); }
+                            StoreWrite::Keyed(..) | StoreWrite::Edge(..) => unreachable!("not featured"),
                         }
                         if draw.gen() {
                             log.push(StoreWrite::Node(NodeKind::Ip, Some(draw.gen())));
@@ -683,6 +744,84 @@ proptest! {
             prop_assert_eq!(cache.codes().shape(), full.codes.shape());
             prop_assert_eq!(bits(cache.codes()), bits(&full.codes), "step {}", step);
         }
+    }
+
+    /// The store's linked adjacency and arena interner against the
+    /// per-node lists and per-key strings they replaced. Replays a random
+    /// log of nodes (odd key texts included) and edges (duplicates and
+    /// schema violations included), then checks the live store, its
+    /// clone, the clone after `rebuild_indices` and the store's TKG2
+    /// round trip with [`check_store`]: adjacency in
+    /// insertion order, degrees, and every key, the empty and non-ASCII
+    /// ones too, found again after the interner's rehashes.
+    #[test]
+    fn store_adjacency_and_keys_match_the_list_oracle(
+        steps in proptest::collection::vec((0u8..8, any::<u64>()), 0..160),
+    ) {
+        let mut tkg = replay_writes(&[]);
+        let mut keys: Vec<(NodeKind, String)> = Vec::new();
+        let mut edges: Vec<(NodeId, NodeId, EdgeKind)> = Vec::new();
+        for &(op, seed) in &steps {
+            let mut draw = StdRng::seed_from_u64(seed);
+            let n = tkg.graph.node_count();
+            let write = match op {
+                0 | 1 => StoreWrite::Node(NodeKind::ALL[draw.gen_range(0..5)], None),
+                2 => StoreWrite::Keyed(
+                    NodeKind::ALL[draw.gen_range(0..5)],
+                    ODD_KEYS[draw.gen_range(0..ODD_KEYS.len())],
+                ),
+                _ if n == 0 => continue,
+                _ => {
+                    // Endpoints among the first 8 nodes half the time, so
+                    // that some lists grow long; a few tries for a pair
+                    // the schema allows.
+                    let pick = |draw: &mut StdRng| {
+                        let m = if draw.gen() { n.min(8) } else { n };
+                        NodeId::from(draw.gen_range(0..m))
+                    };
+                    let src = pick(&mut draw);
+                    let sk = keys[src.index()].0;
+                    let mut dst = pick(&mut draw);
+                    for _ in 0..4 {
+                        if EdgeKind::ALL.iter().any(|k| k.allows(sk, keys[dst.index()].0)) {
+                            break;
+                        }
+                        dst = pick(&mut draw);
+                    }
+                    let dk = keys[dst.index()].0;
+                    // Mostly an edge the schema allows, if any; else any kind.
+                    let kind = EdgeKind::ALL
+                        .into_iter()
+                        .find(|k| k.allows(sk, dk))
+                        .filter(|_| draw.gen_range(0..4) != 0)
+                        .unwrap_or(EdgeKind::ALL[draw.gen_range(0..6)]);
+                    StoreWrite::Edge(src, dst, kind)
+                }
+            };
+            match write {
+                StoreWrite::Node(kind, _) => keys.push((kind, format!("n{n}"))),
+                StoreWrite::Keyed(kind, key) => {
+                    if !keys.iter().any(|(k, t)| *k == kind && t == key) {
+                        keys.push((kind, key.to_owned()));
+                    }
+                }
+                StoreWrite::Edge(s, d, kind) => {
+                    if kind.allows(keys[s.index()].0, keys[d.index()].0) && !edges.contains(&(s, d, kind)) {
+                        edges.push((s, d, kind));
+                    }
+                }
+                StoreWrite::Feature(..) => unreachable!("not drawn"),
+            }
+            apply_write(&mut tkg, write);
+        }
+        let g = &tkg.graph;
+        check_store("live", g, &keys, &edges);
+        let mut copy = g.clone();
+        check_store("clone", &copy, &keys, &edges);
+        copy.rebuild_indices();
+        check_store("relinked clone", &copy, &keys, &edges);
+        let decoded = persist::from_bytes(&persist::to_bytes(g)).expect("TKG2 round trip");
+        check_store("TKG2", &decoded, &keys, &edges);
     }
 
     #[test]
