@@ -21,12 +21,6 @@
 //! not >=40% smaller than the wide one, or a machine with >=8 cores
 //! shows less than a 2x 8-thread speedup (see DESIGN.md §15).
 //!
-//! `--sampled CAP` switches GNN training to the opt-in neighbor-
-//! sampled mini-batch path (capped k-hop subgraph of the supervised
-//! events, CAP=0 for hop-limited but uncapped). Prediction always
-//! runs on the full graph; accuracy is epsilon-close to the exact
-//! protocol, not bitwise-identical.
-//!
 //! `quant` (or `--quant`) trains one Table-IV fold and compares f32
 //! inference against the i8-quantized forward path: max-abs logit
 //! error, argmax agreement and test accuracy on the held-out events,
@@ -136,14 +130,6 @@ fn main() {
                     .get(i)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(usage);
-            }
-            "--sampled" => {
-                i += 1;
-                opts.sampled_neighbor_cap = Some(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(usage),
-                );
             }
             "--quant" => experiment = String::from("quant"),
             "--quick" => opts.quick = true,
@@ -289,7 +275,7 @@ fn run(
 fn usage<T>() -> T {
     eprintln!(
         "usage: repro <table2|table3|table4|fig3|fig4|fig7|fig8|fig9|fig10|sec5|case|chaos|ablations|quant|serve-bench|stream-bench|scale-bench|all> \
-         [--scale S] [--seed N] [--folds K] [--faults P] [--resume DIR] [--chaos SEED] [--sampled CAP] [--quant] [--quick] [--trace]"
+         [--scale S] [--seed N] [--folds K] [--faults P] [--resume DIR] [--chaos SEED] [--quant] [--quick] [--trace]"
     );
     std::process::exit(2);
 }

@@ -36,12 +36,6 @@ pub struct RunOptions {
     /// fault-free graph, so results are unaffected — only the ingest
     /// taxonomy in `BENCH_repro.json` shows the retries.
     pub transient_fault_prob: f32,
-    /// Opt-in sampled GNN training (`--sampled CAP`): train the
-    /// Table-IV GNNs on the capped k-hop subgraph of the supervised
-    /// events instead of the full graph. Prediction stays full-graph;
-    /// accuracy is epsilon-close, not bitwise (see the sampled-training
-    /// agreement test). `None` keeps the exact full-graph protocol.
-    pub sampled_neighbor_cap: Option<usize>,
 }
 
 impl Default for RunOptions {
@@ -52,7 +46,6 @@ impl Default for RunOptions {
             folds: 5,
             quick: false,
             transient_fault_prob: 0.0,
-            sampled_neighbor_cap: None,
         }
     }
 }
@@ -107,7 +100,7 @@ impl RunOptions {
 
     /// GNN evaluation settings matched to the mode.
     pub fn gnn_settings(&self) -> GnnEvalConfig {
-        let mut cfg = if self.quick {
+        if self.quick {
             GnnEvalConfig {
                 hidden: 32,
                 train: trail_gnn::TrainConfig {
@@ -122,9 +115,7 @@ impl RunOptions {
             }
         } else {
             GnnEvalConfig::default()
-        };
-        cfg.sampled_neighbor_cap = self.sampled_neighbor_cap;
-        cfg
+        }
     }
 
     /// Autoencoder settings matched to the mode.
@@ -918,7 +909,8 @@ pub fn ablations(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
     }
 }
 
-/// Fig. 10 — GNNExplainer subgraph for one event.
+/// Fig. 10 — GNNExplainer on one event's prediction, run on the exact
+/// receptive field of the model: the event's L-hop ball.
 pub fn fig10(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
     header(
         "fig10",
@@ -949,35 +941,61 @@ pub fn fig10(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
         println!("no events to explain");
         return;
     };
-    let sub = trail_gnn::sampler::sample_k_hop(&mut rng, &csr, &[event.node], 2, 12);
-    let local_rows: Vec<usize> = sub.nodes.iter().map(|n| n.index()).collect();
-    let x_sub = x.gather_rows(&local_rows);
-    let target_local = sub.local_of[&event.node];
+    let class = event.apt as usize;
     let expl = trail_gnn::explain::explain(
         &model,
-        &sub,
-        &x_sub,
-        target_local,
-        event.apt as usize,
+        &csr,
+        &x,
+        event.node,
+        class,
         &trail_gnn::explain::ExplainerConfig::default(),
     );
+    let model_p = proba[(event.node.index(), class)];
     println!(
-        "event {} ({}), subgraph {} nodes / {} edges, p(class)={:.2}",
+        "event {} ({}), {}-layer model, {}-hop ball: {} members, {} masked half-edges",
         event.report_id,
         sys.tkg.registry.name(event.apt),
-        sub.len(),
-        sub.edges.len(),
-        expl.base_probability
+        layers,
+        layers,
+        expl.members.len(),
+        expl.edges.len()
     );
-    println!("top-15 influential nodes (paper: IOC features outweigh reuse paths):");
-    for local in expl.top_nodes(target_local, 15) {
-        let node = sub.nodes[local];
+    println!(
+        "p(class): model {:.4}, explainer's unmasked forward {:.4} (bitwise equal: {})",
+        model_p,
+        expl.base_probability,
+        model_p.to_bits() == expl.base_probability.to_bits()
+    );
+    let below = expl.edge_importance.iter().filter(|&&m| m < 0.5).count();
+    println!(
+        "mask entries below 0.5: {below} of {}{}",
+        expl.edge_importance.len(),
+        if below == 0 {
+            " (degenerate: the importances below only count incident half-edges)"
+        } else {
+            ""
+        }
+    );
+    // A node adjacent to the event sits on one of its feature edges;
+    // any other node is reached over a reuse path through a neighbour.
+    let top = expl.top_nodes(15);
+    let own = |v: trail_graph::NodeId| csr.neighbors(event.node).contains(&v);
+    let n_own = top.iter().filter(|&&(v, _)| own(v)).count();
+    println!(
+        "top-{} influential nodes: {} on the event's feature edges, {} over reuse paths \
+         (paper: IOC features outweigh reuse paths):",
+        top.len(),
+        n_own,
+        top.len() - n_own
+    );
+    for (node, importance) in top {
         let rec = sys.tkg.graph.node(node);
         println!(
-            "  {:<8} {:<50} importance {:.3}",
+            "  {:<8} {:<50} {:<7} importance {:.3}",
             format!("{:?}", rec.kind),
             sys.tkg.graph.key(node).chars().take(50).collect::<String>(),
-            expl.node_importance[local]
+            if own(node) { "feature" } else { "reuse" },
+            importance
         );
     }
 }

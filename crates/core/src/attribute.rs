@@ -565,12 +565,10 @@ pub struct GnnEvalConfig {
     /// Fraction of train-event labels visible per masked-training
     /// epoch (the rest are that epoch's prediction targets).
     pub label_visible_fraction: f32,
-    /// Opt-in sampled mini-batch training: `Some(cap)` trains on the
-    /// capped k-hop neighbourhood subgraph of the supervised events
-    /// (`trail_gnn::train_sage_masked_sampled`) instead of the full
-    /// graph; prediction always runs full-graph. `None` (the default)
-    /// keeps the exact full-graph protocol.
-    pub sampled_neighbor_cap: Option<usize>,
+    /// Always `None`: `Infallible` admits no `Some`. Nothing reads it;
+    /// it stays while the benchmark harness names it in a struct
+    /// literal, and the study fingerprint hashes it as `None`'s `0`.
+    pub sampled_neighbor_cap: Option<std::convert::Infallible>,
 }
 
 impl Default for GnnEvalConfig {
@@ -631,29 +629,16 @@ pub fn eval_event_gnn<R: Rng + ?Sized>(
             offset: embeddings.code_dim + 5,
             visible_fraction: cfg.label_visible_fraction,
         };
-        let (mut model, _) = match cfg.sampled_neighbor_cap {
-            Some(cap) => trail_gnn::train_sage_masked_sampled(
-                rng,
-                &csr,
-                &x_train,
-                sage_cfg,
-                &train_pairs,
-                &val_pairs,
-                &cfg.train,
-                masking,
-                cap,
-            ),
-            None => trail_gnn::train_sage_masked(
-                rng,
-                &csr,
-                &mut x_train,
-                sage_cfg,
-                &train_pairs,
-                &val_pairs,
-                &cfg.train,
-                masking,
-            ),
-        };
+        let (mut model, _) = trail_gnn::train_sage_masked(
+            rng,
+            &csr,
+            &mut x_train,
+            sage_cfg,
+            &train_pairs,
+            &val_pairs,
+            &cfg.train,
+            masking,
+        );
 
         // Test input: train + val labels visible, test masked.
         let visible: Vec<(NodeId, u16)> = train_pairs.iter().chain(&val_pairs).copied().collect();
@@ -705,29 +690,16 @@ pub fn eval_event_gnn_thresholded<R: Rng + ?Sized>(
             offset: embeddings.code_dim + 5,
             visible_fraction: cfg.label_visible_fraction,
         };
-        let (mut model, _) = match cfg.sampled_neighbor_cap {
-            Some(cap) => trail_gnn::train_sage_masked_sampled(
-                rng,
-                &csr,
-                &x,
-                sage_cfg,
-                &train_pairs,
-                &[],
-                &cfg.train,
-                masking,
-                cap,
-            ),
-            None => trail_gnn::train_sage_masked(
-                rng,
-                &csr,
-                &mut x,
-                sage_cfg,
-                &train_pairs,
-                &[],
-                &cfg.train,
-                masking,
-            ),
-        };
+        let (mut model, _) = trail_gnn::train_sage_masked(
+            rng,
+            &csr,
+            &mut x,
+            sage_cfg,
+            &train_pairs,
+            &[],
+            &cfg.train,
+            masking,
+        );
         let targets: Vec<NodeId> = test_ev.iter().map(|&i| tkg.events[i].node).collect();
         let preds = trail_gnn::train::predict_events(&mut model, &csr, &x, &targets);
         let mut attributed = 0usize;

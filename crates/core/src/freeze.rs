@@ -197,8 +197,7 @@ pub fn train_frozen<R: Rng + ?Sized>(
 
 /// [`train_frozen`] reusing already-trained embeddings: the one
 /// base-GNN trainer. The stream's base model and Fig. 10's model train
-/// here too, so every base GNN honours `label_visible_fraction` and
-/// `sampled_neighbor_cap` alike.
+/// here too, so every base GNN honours `label_visible_fraction`.
 pub fn train_frozen_from<R: Rng + ?Sized>(
     rng: &mut R,
     tkg: &Tkg,
@@ -220,29 +219,16 @@ pub fn train_frozen_from<R: Rng + ?Sized>(
         offset: emb.code_dim + 5,
         visible_fraction: gnn_cfg.label_visible_fraction,
     };
-    let (model, _) = match gnn_cfg.sampled_neighbor_cap {
-        Some(cap) => trail_gnn::train_sage_masked_sampled(
-            rng,
-            &csr,
-            &x,
-            sage_cfg,
-            &pairs,
-            &[],
-            &gnn_cfg.train,
-            masking,
-            cap,
-        ),
-        None => train_sage_masked(
-            rng,
-            &csr,
-            &mut x,
-            sage_cfg,
-            &pairs,
-            &[],
-            &gnn_cfg.train,
-            masking,
-        ),
-    };
+    let (model, _) = train_sage_masked(
+        rng,
+        &csr,
+        &mut x,
+        sage_cfg,
+        &pairs,
+        &[],
+        &gnn_cfg.train,
+        masking,
+    );
     let layers = model
         .weights()
         .iter()

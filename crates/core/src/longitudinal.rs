@@ -177,13 +177,9 @@ fn study_fingerprint(cfg: &StudyConfig, world_seed: u64, cutoff: u32) -> u64 {
     b.extend_from_slice(&cfg.gnn.val_fraction.to_bits().to_le_bytes());
     b.push(cfg.gnn.l2_normalize as u8);
     b.extend_from_slice(&cfg.gnn.label_visible_fraction.to_bits().to_le_bytes());
-    match cfg.gnn.sampled_neighbor_cap {
-        None => b.push(0),
-        Some(cap) => {
-            b.push(1);
-            b.extend_from_slice(&(cap as u64).to_le_bytes());
-        }
-    }
+    // `sampled_neighbor_cap` can only be `None` now. Its `0` byte
+    // stays, so checkpoints written before (all `None`) still resume.
+    b.push(0);
     b.extend_from_slice(&(cfg.ae.hidden as u64).to_le_bytes());
     b.extend_from_slice(&(cfg.ae.code as u64).to_le_bytes());
     b.extend_from_slice(&cfg.ae.lr.to_bits().to_le_bytes());
@@ -648,19 +644,25 @@ mod tests {
             Err(CheckpointError::Mismatch { what }) => assert_eq!(what, "study seed"),
             other => panic!("expected seed mismatch, got {other:?}"),
         }
-        // Different hyper-parameters, or a different sampled-training
-        // cap: refuse.
+        // Different hyper-parameters: refuse.
         let mut other_lr = cfg.clone();
         other_lr.fine_tune.lr *= 2.0;
-        let mut other_cap = cfg.clone();
-        other_cap.gnn.sampled_neighbor_cap = Some(8);
-        for other_cfg in [other_lr, other_cap] {
-            match run_resumable_study(tiny_client(), cutoff, &other_cfg, 5, &dir, None) {
-                Err(CheckpointError::Mismatch { what }) => assert_eq!(what, "run fingerprint"),
-                other => panic!("expected fingerprint mismatch, got {other:?}"),
-            }
+        match run_resumable_study(tiny_client(), cutoff, &other_lr, 5, &dir, None) {
+            Err(CheckpointError::Mismatch { what }) => assert_eq!(what, "run fingerprint"),
+            other => panic!("expected fingerprint mismatch, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Checkpoints written before `sampled_neighbor_cap` lost its
+    /// values (all `None`) must still resume: the fingerprint of a
+    /// fixed config keeps its value.
+    #[test]
+    fn study_fingerprint_is_pinned() {
+        assert_eq!(
+            study_fingerprint(&tiny_cfg(), 77, 400),
+            0x1abf_f84e_7951_4ade
+        );
     }
 
     #[test]

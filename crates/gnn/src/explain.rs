@@ -1,19 +1,23 @@
 //! GNNExplainer (Ying et al., NeurIPS 2019) — paper Section VII-D,
 //! Fig. 10.
 //!
-//! Learns a soft mask over the edges of the target event's k-hop
-//! subgraph that keeps the model's prediction while being sparse and
-//! near-binary: minimise
+//! Learns a soft mask over the half-edges an `L`-layer model reads for
+//! the target — the rows of the members within `L−1` hops of its
+//! `L`-hop [`Ball`] — that keeps the model's prediction while being
+//! sparse and near-binary: minimise
 //! `-log p(class | masked graph) + λ₁·Σσ(θ) + λ₂·Σ H(σ(θ))`.
-//! The masked forward replaces the neighbour mean with the
-//! mask-weighted mean `Σ m_e h_u / (Σ m_e + ε)` (the root term is
-//! unmasked — the node itself is always present), whose mask gradient
-//! is `⟨∂L/∂agg_v, (h_u − agg_v)⟩ / (Σ m_e + ε)`.
+//! The mask weights the model's own neighbour mean, `Σ m·h / Σ m`, in
+//! its own row-set forward and backward (DESIGN.md §10); the root term
+//! is unmasked, since the node itself is always present. With every
+//! entry at 1 the masked forward is the model's forward, so
+//! [`Explanation::base_probability`] is the model's prediction bit for
+//! bit.
 
+use trail_graph::algo::Ball;
+use trail_graph::{Csr, NodeId};
 use trail_linalg::Matrix;
 
-use crate::sage::SageModel;
-use crate::sampler::Subgraph;
+use crate::sage::{EdgeGrad, LayerRows, SageModel};
 
 /// Explainer hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -39,83 +43,125 @@ impl Default for ExplainerConfig {
     }
 }
 
-/// An explanation: per-edge importances and derived node importances.
+/// An explanation of one node's prediction, in global node ids.
 #[derive(Debug, Clone)]
 pub struct Explanation {
-    /// Importance per subgraph edge, in `sub.edges` order, in `[0,1]`.
+    /// The explained node.
+    pub target: NodeId,
+    /// The target's `L`-hop ball (`L` = model depth), ascending id.
+    pub members: Vec<NodeId>,
+    /// The masked half-edges `(v, u)`, meaning `v`'s mean reads `u`:
+    /// every half-edge the model reads, row by row in CSR order. A
+    /// parallel edge or a self-loop has an entry of its own.
+    pub edges: Vec<(NodeId, NodeId)>,
+    /// The learned mask per edge, in `[0,1]`.
     pub edge_importance: Vec<f32>,
-    /// Importance per local node (sum of incident edge importances).
+    /// Per member: the sum of the importances of the masked half-edges
+    /// it starts or ends.
     pub node_importance: Vec<f32>,
-    /// The model's probability for the explained class on the fully
-    /// masked-in subgraph (sanity anchor).
+    /// The model's probability of the explained class with every mask
+    /// entry at 1: its own prediction, bit for bit.
     pub base_probability: f32,
 }
 
 impl Explanation {
-    /// Local indices of the top-k most important nodes (excluding the
-    /// target itself).
-    pub fn top_nodes(&self, target_local: usize, k: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.node_importance.len())
-            .filter(|&i| i != target_local)
+    /// The `k` most important members other than the target, most
+    /// important first (ties in ascending id).
+    pub fn top_nodes(&self, k: usize) -> Vec<(NodeId, f32)> {
+        let mut order: Vec<(NodeId, f32)> = self
+            .members
+            .iter()
+            .copied()
+            .zip(self.node_importance.iter().copied())
+            .filter(|&(v, _)| v != self.target)
             .collect();
-        order.sort_by(|&a, &b| {
-            self.node_importance[b]
-                .partial_cmp(&self.node_importance[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        order.sort_by(|a, b| b.1.total_cmp(&a.1));
         order.truncate(k);
         order
     }
 }
 
-/// Run GNNExplainer for `target_local`'s prediction of `class`.
-///
-/// `x_sub` holds the features of the subgraph's nodes (local order).
+/// Run GNNExplainer for the model's prediction of `class` at `target`,
+/// on the full graph `csr` with model input `x` (one row per node).
+/// The model is not changed: the explainer runs a copy of it.
 pub fn explain(
     model: &SageModel,
-    sub: &Subgraph,
-    x_sub: &Matrix,
-    target_local: usize,
+    csr: &Csr,
+    x: &Matrix,
+    target: NodeId,
     class: usize,
     cfg: &ExplainerConfig,
 ) -> Explanation {
-    assert_eq!(x_sub.rows(), sub.len());
-    let n_edges = sub.edges.len();
+    let _span = trail_obs::span("gnn.explain");
+    let depth = model.config().layers;
+    let n_classes = model.config().n_classes;
+    let ball = Ball::new(csr, &[target], depth as u32);
+    let rows: Vec<usize> = ball.members().iter().map(|m| m.index()).collect();
+    let x_ball = x.gather_rows(&rows);
+    let sub = ball.csr();
+    let root = ball.local(target).expect("the target is in its ball");
+    let layer_rows = LayerRows::new(sub, &[root], depth);
+    // The model reads the rows of the members within `depth − 1` hops:
+    // one mask entry per slot of those rows.
+    let mut slots = Vec::new();
+    let mut local_edges = Vec::new();
+    for (i, &hop) in ball.hops().iter().enumerate() {
+        if hop as usize >= depth {
+            continue;
+        }
+        let v = NodeId::from(i);
+        for (s, &u) in sub.slots(v).zip(sub.neighbors(v)) {
+            slots.push(s);
+            local_edges.push((i, u.index()));
+        }
+    }
+
+    let mut model = model.clone();
+    let mut weights = vec![1.0f32; sub.half_edge_count()];
+    let mut proba = vec![0.0f32; n_classes];
+    let forward = |model: &mut SageModel, weights: &[f32], proba: &mut [f32]| {
+        let logits = model.forward_rows(sub, &x_ball, Some(&layer_rows), Some(weights), true);
+        proba.copy_from_slice(logits.row(0));
+        trail_linalg::vector::softmax_inplace(proba);
+    };
+    forward(&mut model, &weights, &mut proba);
+    let base_probability = proba[class];
+
     // Mask logits start around sigmoid(2) ~ 0.88 with a deterministic
-    // per-edge jitter to break symmetry.
-    let mut theta: Vec<f32> = (0..n_edges)
+    // per-entry jitter to break symmetry.
+    let mut theta: Vec<f32> = (0..slots.len())
         .map(|e| 2.0 + 0.01 * ((e * 2654435761) % 100) as f32 / 100.0)
         .collect();
-
-    let base_probability = {
-        let mask = vec![1.0f32; n_edges];
-        let (proba, _) = masked_forward(model, sub, x_sub, &mask);
-        proba[(target_local, class)]
-    };
-
-    let mut m_adam = vec![(0.0f32, 0.0f32); n_edges];
+    let mut m_adam = vec![(0.0f32, 0.0f32); slots.len()];
+    let mut grad = vec![0.0f32; weights.len()];
+    let mut d_logits = Matrix::zeros(1, n_classes);
     for step in 1..=cfg.steps {
-        let mask: Vec<f32> = theta.iter().map(|&t| sigmoid(t)).collect();
-        let (proba, caches) = masked_forward(model, sub, x_sub, &mask);
-        // d(-log p_class)/d logits = softmax - onehot, on the target row.
-        let mut d_logits = Matrix::zeros(sub.len(), proba.cols());
-        for c in 0..proba.cols() {
-            d_logits[(target_local, c)] =
-                proba[(target_local, c)] - if c == class { 1.0 } else { 0.0 };
+        for (&s, &t) in slots.iter().zip(&theta) {
+            weights[s] = sigmoid(t);
         }
-        let mut g_mask = vec![0.0f32; n_edges];
-        masked_backward(model, sub, &caches, &mask, &d_logits, &mut g_mask);
+        forward(&mut model, &weights, &mut proba);
+        // d(-log p_class)/d logits = softmax - onehot.
+        for (c, (d, &p)) in d_logits.row_mut(0).iter_mut().zip(&proba).enumerate() {
+            *d = p - if c == class { 1.0 } else { 0.0 };
+        }
+        grad.fill(0.0);
+        let edge = EdgeGrad {
+            x: &x_ball,
+            weights: &weights,
+            grad: &mut grad,
+        };
+        model.backward_rows(sub, &d_logits, Some(&layer_rows), Some(edge));
         // Regularisers.
-        for e in 0..n_edges {
-            let m = mask[e];
-            let mut g = g_mask[e] + cfg.sparsity;
+        for (e, &s) in slots.iter().enumerate() {
+            let m = weights[s];
+            let mut g = grad[s] + cfg.sparsity;
             // d/dm of H(m) = -ln(m/(1-m)).
             if m > 1e-6 && m < 1.0 - 1e-6 {
                 g += cfg.entropy * (-(m / (1.0 - m)).ln());
             }
             // Chain through the sigmoid.
             let g_theta = g * m * (1.0 - m);
-            // Adam-lite per-edge update.
+            // Adam-lite per-entry update.
             let (ref mut mom, ref mut vel) = m_adam[e];
             *mom = 0.9 * *mom + 0.1 * g_theta;
             *vel = 0.999 * *vel + 0.001 * g_theta * g_theta;
@@ -125,12 +171,19 @@ pub fn explain(
         }
     }
     let edge_importance: Vec<f32> = theta.iter().map(|&t| sigmoid(t)).collect();
-    let mut node_importance = vec![0.0f32; sub.len()];
-    for (e, &(a, b)) in sub.edges.iter().enumerate() {
-        node_importance[a] += edge_importance[e];
-        node_importance[b] += edge_importance[e];
+    let mut node_importance = vec![0.0f32; ball.len()];
+    for (&(v, u), &m) in local_edges.iter().zip(&edge_importance) {
+        node_importance[v] += m;
+        node_importance[u] += m;
     }
+    let members = ball.members();
     Explanation {
+        target,
+        members: members.to_vec(),
+        edges: local_edges
+            .iter()
+            .map(|&(v, u)| (members[v], members[u]))
+            .collect(),
         edge_importance,
         node_importance,
         base_probability,
@@ -142,157 +195,18 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-struct LayerCache {
-    input: Matrix,
-    agg: Matrix,
-    denom: Vec<f32>,
-    relu_mask: Vec<bool>,
-    post_norm: Matrix,
-    norms: Vec<f32>,
-}
-
-/// Forward pass on the subgraph with mask-weighted aggregation.
-/// Returns the softmax probabilities and the per-layer caches.
-fn masked_forward(
-    model: &SageModel,
-    sub: &Subgraph,
-    x_sub: &Matrix,
-    mask: &[f32],
-) -> (Matrix, Vec<LayerCache>) {
-    let weights = model.weights();
-    let mut h = x_sub.clone();
-    let mut caches = Vec::with_capacity(weights.len());
-    for (l, (w_root, w_nbr, b)) in weights.iter().enumerate() {
-        let (agg, denom) = masked_aggregate(sub, &h, mask);
-        let mut y = h.matmul(w_root).expect("root shape");
-        y.add_assign(&agg.matmul(w_nbr).expect("nbr shape"))
-            .expect("same shape");
-        y.add_row_broadcast(b.as_slice()).expect("bias");
-        let mut relu_mask = Vec::new();
-        let mut norms = Vec::new();
-        if model.layer_is_hidden(l) {
-            relu_mask = y.as_slice().iter().map(|&v| v > 0.0).collect();
-            y.map_inplace(|v| v.max(0.0));
-        }
-        if model.layer_is_normalised(l) {
-            let cols = y.cols();
-            for row in y.as_mut_slice().chunks_exact_mut(cols) {
-                let n = trail_linalg::vector::norm2(row).max(1e-12);
-                for v in row.iter_mut() {
-                    *v /= n;
-                }
-                norms.push(n);
-            }
-        }
-        caches.push(LayerCache {
-            input: h.clone(),
-            agg,
-            denom,
-            relu_mask,
-            post_norm: y.clone(),
-            norms,
-        });
-        h = y;
-    }
-    let mut proba = h;
-    let k = proba.cols();
-    for row in proba.as_mut_slice().chunks_exact_mut(k) {
-        trail_linalg::vector::softmax_inplace(row);
-    }
-    (proba, caches)
-}
-
-/// Mask-weighted neighbour-mean aggregation: `Σ m_e h_u / (Σ m_e + ε)`.
-fn masked_aggregate(sub: &Subgraph, h: &Matrix, mask: &[f32]) -> (Matrix, Vec<f32>) {
-    let d = h.cols();
-    let mut out = Matrix::zeros(sub.len(), d);
-    let mut denoms = Vec::with_capacity(sub.len());
-    for v in 0..sub.len() {
-        let mut denom = 1e-6f32;
-        let acc = out.row_mut(v);
-        for &(u, e) in &sub.adj[v] {
-            let m = mask[e];
-            denom += m;
-            for (a, &x) in acc.iter_mut().zip(h.row(u)) {
-                *a += m * x;
-            }
-        }
-        for a in acc.iter_mut() {
-            *a /= denom;
-        }
-        denoms.push(denom);
-    }
-    (out, denoms)
-}
-
-/// Backward through the masked layers, accumulating exact mask
-/// gradients (needs the live mask for the neighbour-feature flow).
-fn masked_backward(
-    model: &SageModel,
-    sub: &Subgraph,
-    caches: &[LayerCache],
-    mask: &[f32],
-    d_logits: &Matrix,
-    g_mask: &mut [f32],
-) {
-    let weights = model.weights();
-    let mut d_out = d_logits.clone();
-    for l in (0..weights.len()).rev() {
-        let cache = &caches[l];
-        let (w_root, w_nbr, _) = &weights[l];
-        let mut d_pre = d_out.clone();
-        if model.layer_is_normalised(l) {
-            let cols = d_pre.cols();
-            for (r, norm) in cache.norms.iter().enumerate() {
-                let dot = trail_linalg::vector::dot(d_pre.row(r), cache.post_norm.row(r));
-                let y_row: Vec<f32> = cache.post_norm.row(r).to_vec();
-                let d_row = d_pre.row_mut(r);
-                for c in 0..cols {
-                    d_row[c] = (d_row[c] - y_row[c] * dot) / norm;
-                }
-            }
-        }
-        if model.layer_is_hidden(l) {
-            for (g, &keep) in d_pre.as_mut_slice().iter_mut().zip(&cache.relu_mask) {
-                if !keep {
-                    *g = 0.0;
-                }
-            }
-        }
-        let d_agg = d_pre.matmul_t(w_nbr).expect("d_agg");
-        let mut d_h = d_pre.matmul_t(w_root).expect("d_h root");
-        for v in 0..sub.len() {
-            let denom = cache.denom[v];
-            let src = d_agg.row(v);
-            for &(u, e) in &sub.adj[v] {
-                let mut dot = 0.0f32;
-                for ((&g, &hu), &av) in src.iter().zip(cache.input.row(u)).zip(cache.agg.row(v)) {
-                    dot += g * (hu - av);
-                }
-                g_mask[e] += dot / denom;
-                let scale = mask[e] / denom;
-                let dst = d_h.row_mut(u);
-                for (o, &g) in dst.iter_mut().zip(src) {
-                    *o += scale * g;
-                }
-            }
-        }
-        d_out = d_h;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sage::SageConfig;
-    use rand::{rngs::StdRng, SeedableRng};
-    use trail_graph::{Csr, EdgeKind, GraphStore, NodeKind};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use trail_graph::{EdgeKind, GraphStore, NodeKind};
 
     /// Event with two IOC neighbours: one carries the class-0 signal,
     /// one pushes class 1. A hand-built one-layer model with known
     /// weights makes the ground-truth edge ranking unambiguous:
     /// `logit_c = agg[c] * 4`, signal node = [1,0], noise node = [0,1].
-    fn setup() -> (SageModel, Subgraph, Matrix, usize) {
+    fn setup() -> (SageModel, Csr, Matrix) {
         let mut g = GraphStore::new();
         let e = g.upsert_node(NodeKind::Event, "e");
         let signal = g.upsert_node(NodeKind::Ip, "1.1.1.1");
@@ -306,75 +220,103 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = SageConfig::new(2, 8, 1, 2);
-        let mut model = crate::sage::SageModel::new(&mut rng, cfg);
+        let mut model = SageModel::new(&mut rng, cfg);
         let w_nbr = Matrix::from_vec(2, 2, vec![4.0, 0.0, 0.0, 4.0]).unwrap();
         model.set_layer_weights(0, Matrix::zeros(2, 2), w_nbr, Matrix::zeros(1, 2));
-
-        let mut rng2 = StdRng::seed_from_u64(6);
-        let sub = crate::sampler::sample_k_hop(&mut rng2, &csr, &[trail_graph::NodeId(0)], 2, 0);
-        let x_sub = x.gather_rows(&sub.nodes.iter().map(|n| n.index()).collect::<Vec<_>>());
-        let target_local = sub.local_of[&trail_graph::NodeId(0)];
-        (model, sub, x_sub, target_local)
+        (model, csr, x)
     }
+
+    const EVENT: NodeId = NodeId(0);
 
     #[test]
     fn importances_are_probabilities() {
-        let (model, sub, x_sub, target) = setup();
-        let expl = explain(&model, &sub, &x_sub, target, 0, &ExplainerConfig::default());
-        assert_eq!(expl.edge_importance.len(), sub.edges.len());
+        let (model, csr, x) = setup();
+        let expl = explain(&model, &csr, &x, EVENT, 0, &ExplainerConfig::default());
+        // A one-layer model reads the event's row only.
+        assert_eq!(expl.edges, vec![(EVENT, NodeId(1)), (EVENT, NodeId(2))]);
+        assert_eq!(expl.edge_importance.len(), expl.edges.len());
         assert!(expl
             .edge_importance
             .iter()
             .all(|&m| (0.0..=1.0).contains(&m)));
         // With all edges on, the two classes balance out exactly.
-        assert!((expl.base_probability - 0.5).abs() < 1e-4);
+        assert_eq!(expl.base_probability, 0.5);
     }
 
     #[test]
     fn signal_edge_outranks_noise_edge() {
-        let (model, sub, x_sub, target) = setup();
-        let expl = explain(&model, &sub, &x_sub, target, 0, &ExplainerConfig::default());
-        // Find local indices of the two IPs.
-        let signal_local = sub.local_of[&trail_graph::NodeId(1)];
-        let noise_local = sub.local_of[&trail_graph::NodeId(2)];
+        let (model, csr, x) = setup();
+        let expl = explain(&model, &csr, &x, EVENT, 0, &ExplainerConfig::default());
+        let importance = |v: NodeId| expl.node_importance[v.index()];
         assert!(
-            expl.node_importance[signal_local] >= expl.node_importance[noise_local],
+            importance(NodeId(1)) >= importance(NodeId(2)),
             "signal {} vs noise {}",
-            expl.node_importance[signal_local],
-            expl.node_importance[noise_local]
+            importance(NodeId(1)),
+            importance(NodeId(2))
         );
-        let top = expl.top_nodes(target, 1);
-        assert_eq!(top[0], signal_local);
+        assert_eq!(expl.top_nodes(1)[0].0, NodeId(1));
     }
 
     #[test]
     fn sparsity_pressure_lowers_mean_mask() {
-        let (model, sub, x_sub, target) = setup();
-        let lax = explain(
-            &model,
-            &sub,
-            &x_sub,
-            target,
-            0,
-            &ExplainerConfig {
-                sparsity: 0.0,
+        let (model, csr, x) = setup();
+        let run = |sparsity: f32| {
+            let cfg = ExplainerConfig {
+                sparsity,
                 entropy: 0.0,
                 ..Default::default()
-            },
-        );
-        let tight = explain(
-            &model,
-            &sub,
-            &x_sub,
-            target,
-            0,
-            &ExplainerConfig {
-                sparsity: 1.0,
-                entropy: 0.0,
-                ..Default::default()
-            },
-        );
+            };
+            explain(&model, &csr, &x, EVENT, 0, &cfg).edge_importance
+        };
         let mean = |v: &[f32]| v.iter().sum::<f32>() / v.len().max(1) as f32;
-        assert!(mean(&tight.edge_importance) < mean(&lax.edge_importance));
+        assert!(mean(&run(1.0)) < mean(&run(0.0)));
+    }
+
+    /// `base_probability` is the model's own prediction bit for bit, at
+    /// every node of a multigraph with parallel edges, a self-loop and
+    /// an isolate, for 2- and 3-layer models with L2 on and off.
+    #[test]
+    fn base_probability_is_the_models_prediction_bitwise() {
+        let pairs = [
+            (0, 1),
+            (0, 1),
+            (1, 2),
+            (2, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 1),
+        ];
+        let edges: Vec<(NodeId, NodeId, EdgeKind)> = pairs
+            .iter()
+            .map(|&(a, b)| (NodeId(a), NodeId(b), EdgeKind::InReport))
+            .collect();
+        // Node 6 is the isolate.
+        let csr = Csr::from_edge_list(7, &edges);
+        let mut rng = StdRng::seed_from_u64(11);
+        let x = Matrix::from_fn(7, 4, |_, _| rng.gen_range(-1.0f32..1.0));
+        let steps = ExplainerConfig {
+            steps: 3,
+            ..Default::default()
+        };
+        for layers in [2, 3] {
+            for l2_normalize in [false, true] {
+                let cfg = SageConfig {
+                    l2_normalize,
+                    ..SageConfig::new(4, 5, layers, 3)
+                };
+                let mut model = SageModel::new(&mut StdRng::seed_from_u64(layers as u64), cfg);
+                let proba = model.predict_proba(&csr, &x);
+                for v in 0..csr.node_count() {
+                    let class = v % 3;
+                    let expl = explain(&model, &csr, &x, NodeId::from(v), class, &steps);
+                    assert_eq!(
+                        expl.base_probability.to_bits(),
+                        proba[(v, class)].to_bits(),
+                        "node {v}, {layers} layers, L2 {l2_normalize}"
+                    );
+                }
+            }
+        }
     }
 }

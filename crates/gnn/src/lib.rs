@@ -10,21 +10,18 @@
 //!   logits depend on.
 //! * [`train`] — the masked-fold training protocol of Section VII-B,
 //!   including the fine-tuning path the longitudinal study uses.
-//! * [`sampler`] — capped k-hop neighbourhood extraction for
-//!   minibatch-style inference on fresh events.
 //! * [`explain`] — GNNExplainer (Ying et al. 2019): a learned edge mask
-//!   over the event's k-hop subgraph identifying the most influential
-//!   IOCs (Fig. 10).
+//!   over the half-edges the model reads in the event's L-hop ball,
+//!   applied inside the model's own forward, identifying the most
+//!   influential IOCs (Fig. 10).
 
 pub mod explain;
 pub mod labelprop;
 pub mod sage;
-pub mod sampler;
 pub mod train;
 
 pub use labelprop::LabelPropagation;
 pub use sage::{SageConfig, SageModel};
 pub use train::{
-    fine_tune_masked, predict_events, train_sage_masked, train_sage_masked_sampled, FineTune,
-    LabelMasking, TrainConfig,
+    fine_tune_masked, predict_events, train_sage_masked, FineTune, LabelMasking, TrainConfig,
 };

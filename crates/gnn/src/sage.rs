@@ -216,12 +216,14 @@ impl SageLayer {
     /// Forward pass of layer `l` into `self.buf_out`: every node
     /// (`rows` is `None`, `h` holds one row per node) or the nodes
     /// `rows` names for layer `l` (`h` is layer `l−1`'s output over its
-    /// own rows, or the full input at layer 0).
+    /// own rows, or the full input at layer 0). `edge_weights` weights
+    /// the neighbour mean per CSR slot ([`neighbor_mean_sweep_into`]).
     fn forward_into(
         &mut self,
         csr: &Csr,
         h: &Matrix,
         rows: Option<&LayerRows>,
+        edge_weights: Option<&[f32]>,
         l: usize,
         train: bool,
     ) {
@@ -240,8 +242,16 @@ impl SageLayer {
         let d_in = h.cols();
         let d_out = self.w_root.value.cols();
         ensure_shape(&mut self.cache_agg, n, d_in);
-        let weight = SweepWeight::MeanOfNeighbors;
-        neighbor_mean_sweep_into(csr, h, weight, nodes, src_pos, threads, &mut self.cache_agg);
+        neighbor_mean_sweep_into(
+            csr,
+            h,
+            SweepWeight::MeanOfNeighbors,
+            edge_weights,
+            nodes,
+            src_pos,
+            threads,
+            &mut self.cache_agg,
+        );
         ensure_shape(&mut self.cache_input, n, d_in);
         match gather {
             Some(g) => h
@@ -317,7 +327,18 @@ impl SageLayer {
     /// w.r.t. the model input. Must follow a train-mode
     /// [`Self::forward_into`] with the same `rows` and no intervening
     /// forward — the caches are also the forward scratch buffers.
-    fn backward_into(&mut self, csr: &Csr, d_out: &Matrix, rows: Option<&LayerRows>, l: usize) {
+    ///
+    /// After a weighted forward, `edge` carries the layer input `h` that
+    /// forward read, its edge weights and the `∂L/∂w` accumulator; then
+    /// every layer, layer 0 included, adds its share of `∂L/∂w`.
+    fn backward_into(
+        &mut self,
+        csr: &Csr,
+        d_out: &Matrix,
+        rows: Option<&LayerRows>,
+        l: usize,
+        edge: Option<(&Matrix, &[f32], &mut [f32])>,
+    ) {
         assert!(self.has_cache, "forward(train) first");
         let threads = trail_linalg::pool::num_threads();
         let n = d_out.rows();
@@ -379,36 +400,67 @@ impl SageLayer {
                 }
             }
         }
-        if l == 0 {
+        if l == 0 && edge.is_none() {
             return;
         }
-        let (prev_nodes, pos, gather) = match rows {
-            Some(r) => (
-                Some(&r.nodes[l - 1][..]),
-                Some(&r.pos[l][..]),
-                Some(&r.gather[l][..]),
-            ),
-            None => (None, None, None),
-        };
-        let n_prev = prev_nodes.map_or(csr.node_count(), <[u32]>::len);
         let d_in = self.w_root.value.rows();
         ensure_shape(&mut self.buf_d_agg, n, d_in);
         self.buf_d_pre
             .matmul_t_into(&self.w_nbr.value, &mut self.buf_d_agg)
             .expect("d_agg");
-        // The adjoint sweep over the previous layer's rows; neighbours
-        // outside this layer's rows carry an exactly-zero gradient and
-        // are skipped.
-        ensure_shape(&mut self.buf_d_h, n_prev, d_in);
-        neighbor_mean_sweep_into(
-            csr,
-            &self.buf_d_agg,
-            SweepWeight::TransposeMean,
-            prev_nodes,
-            pos,
-            threads,
-            &mut self.buf_d_h,
-        );
+        if l > 0 {
+            let n_prev = rows.map_or(csr.node_count(), |r| r.nodes[l - 1].len());
+            ensure_shape(&mut self.buf_d_h, n_prev, d_in);
+        }
+        match edge {
+            Some((h, weights, grad)) => {
+                let (nodes, src_pos) = match rows {
+                    Some(r) => (
+                        Some(&r.nodes[l][..]),
+                        l.checked_sub(1).map(|p| &r.pos[p][..]),
+                    ),
+                    None => (None, None),
+                };
+                let d_h = (l > 0).then(|| {
+                    self.buf_d_h.as_mut_slice().fill(0.0);
+                    &mut self.buf_d_h
+                });
+                weighted_mean_adjoint(
+                    csr,
+                    nodes,
+                    src_pos,
+                    h,
+                    &self.cache_agg,
+                    &self.buf_d_agg,
+                    weights,
+                    grad,
+                    d_h,
+                );
+                if l == 0 {
+                    return;
+                }
+            }
+            None => {
+                // The adjoint sweep over the previous layer's rows;
+                // neighbours outside this layer's rows carry an
+                // exactly-zero gradient and are skipped.
+                let (prev_nodes, pos) = match rows {
+                    Some(r) => (Some(&r.nodes[l - 1][..]), Some(&r.pos[l][..])),
+                    None => (None, None),
+                };
+                neighbor_mean_sweep_into(
+                    csr,
+                    &self.buf_d_agg,
+                    SweepWeight::TransposeMean,
+                    None,
+                    prev_nodes,
+                    pos,
+                    threads,
+                    &mut self.buf_d_h,
+                );
+            }
+        }
+        let gather = rows.map(|r| &r.gather[l][..]);
         ensure_shape(&mut self.buf_d_root, n, d_in);
         self.buf_d_pre
             .matmul_t_into(&self.w_root.value, &mut self.buf_d_root)
@@ -436,7 +488,7 @@ impl SageLayer {
     /// Allocating convenience wrapper for tests.
     #[cfg(test)]
     fn forward(&mut self, csr: &Csr, h: &Matrix, train: bool) -> Matrix {
-        self.forward_into(csr, h, None, 0, train);
+        self.forward_into(csr, h, None, None, 0, train);
         self.buf_out.clone()
     }
 }
@@ -462,6 +514,13 @@ enum SweepWeight {
 /// by exactly one thread and sums its neighbours in CSR order, so the
 /// result is bitwise identical for every thread count.
 ///
+/// `edge_weights` (forward mean only) scales the neighbour in CSR slot
+/// `s` by `w[s]`: `acc = Σ w·x`, then `acc *= 1/Σw`. All-ones weights
+/// give the unweighted mean bit for bit (`1.0·x == x`, and `Σ 1.0` is
+/// the degree exactly); a row whose weights sum to 0 aggregates to
+/// zero, as an isolate does. The branch is taken once per sweep, so the
+/// unweighted loops are untouched.
+///
 /// Output row `i` is node `nodes[i]`, or node `i` when `nodes` is
 /// `None` — then `out` may cover only a prefix of the CSR's nodes, each
 /// row computed exactly as in a full sweep. Neighbour `u` reads row
@@ -471,10 +530,12 @@ enum SweepWeight {
 /// a wrong value. The adjoint sweep skips neighbours marked
 /// [`ABSENT`]: their upstream gradient is exactly zero, and adding
 /// ±0 terms to a sum started at +0 changes no bit.
+#[allow(clippy::too_many_arguments)] // one kernel, every caller's knobs
 fn neighbor_mean_sweep_into(
     csr: &Csr,
     src: &Matrix,
     weight: SweepWeight,
+    edge_weights: Option<&[f32]>,
     nodes: Option<&[u32]>,
     src_pos: Option<&[u32]>,
     threads: usize,
@@ -501,6 +562,41 @@ fn neighbor_mean_sweep_into(
         };
         Some(src.row(r))
     };
+    if let Some(w) = edge_weights {
+        assert!(
+            weight == SweepWeight::MeanOfNeighbors,
+            "edge weights scale the forward mean only"
+        );
+        assert_eq!(w.len(), csr.half_edge_count(), "one weight per half-edge");
+        trail_linalg::pool::parallel_for_rows_limit(
+            threads,
+            out.as_mut_slice(),
+            d,
+            16,
+            |row0, band| {
+                for (i, acc) in band.chunks_exact_mut(d).enumerate() {
+                    let v = NodeId::from(nodes.map_or(row0 + i, |s| s[row0 + i] as usize));
+                    let mut sum = 0.0f32;
+                    for (&u, &m) in csr.neighbors(v).iter().zip(&w[csr.slots(v)]) {
+                        let x = src_row(u).expect("neighbour outside the previous layer's rows");
+                        for (a, &x) in acc.iter_mut().zip(x) {
+                            *a += m * x;
+                        }
+                        sum += m;
+                    }
+                    if sum == 0.0 {
+                        acc.fill(0.0);
+                        continue;
+                    }
+                    let inv = 1.0 / sum;
+                    for a in acc.iter_mut() {
+                        *a *= inv;
+                    }
+                }
+            },
+        );
+        return;
+    }
     trail_linalg::pool::parallel_for_rows_limit(
         threads,
         out.as_mut_slice(),
@@ -546,8 +642,55 @@ fn neighbor_mean_sweep_into(
 fn neighbor_mean_sweep(csr: &Csr, src: &Matrix, weight: SweepWeight, threads: usize) -> Matrix {
     assert_eq!(src.rows(), csr.node_count());
     let mut out = Matrix::zeros(csr.node_count(), src.cols());
-    neighbor_mean_sweep_into(csr, src, weight, None, None, threads, &mut out);
+    neighbor_mean_sweep_into(csr, src, weight, None, None, None, threads, &mut out);
     out
+}
+
+/// Adjoint of the weighted neighbour mean `agg_v = Σ w_s·h_u / S_v`
+/// (`S_v = Σ w_s` over `v`'s row), given the sweep's source `h`, output
+/// `agg` and `d_agg = ∂L/∂agg`: adds `⟨d_agg_v, h_u − agg_v⟩ / S_v` to
+/// `d_weights[s]` and, when `d_h` is given, `w_s / S_v · d_agg_v` to
+/// `d_h`'s row of `u`. Rows and neighbours are addressed as in
+/// [`neighbor_mean_sweep_into`]. A plain sequential scatter: no
+/// all-rows pass has to be matched bit for bit here.
+#[allow(clippy::too_many_arguments)] // the sweep's operands and both adjoints
+fn weighted_mean_adjoint(
+    csr: &Csr,
+    nodes: Option<&[u32]>,
+    src_pos: Option<&[u32]>,
+    h: &Matrix,
+    agg: &Matrix,
+    d_agg: &Matrix,
+    weights: &[f32],
+    d_weights: &mut [f32],
+    mut d_h: Option<&mut Matrix>,
+) {
+    assert_eq!(d_weights.len(), weights.len(), "one gradient per weight");
+    for (i, (agg, g)) in agg.rows_iter().zip(d_agg.rows_iter()).enumerate() {
+        let v = NodeId::from(nodes.map_or(i, |s| s[i] as usize));
+        let slots = csr.slots(v);
+        let sum: f32 = weights[slots.clone()].iter().sum();
+        if sum == 0.0 {
+            continue;
+        }
+        let inv = 1.0 / sum;
+        for (s, &u) in slots.zip(csr.neighbors(v)) {
+            let r = src_pos.map_or(u.index(), |p| p[u.index()] as usize);
+            let dot: f32 = g
+                .iter()
+                .zip(h.row(r))
+                .zip(agg)
+                .map(|((&g, &x), &a)| g * (x - a))
+                .sum();
+            d_weights[s] += inv * dot;
+            if let Some(d_h) = d_h.as_deref_mut() {
+                let scale = weights[s] * inv;
+                for (o, &g) in d_h.row_mut(r).iter_mut().zip(g) {
+                    *o += scale * g;
+                }
+            }
+        }
+    }
 }
 
 /// Mean aggregation over `N(v)` (neighbours only; zero for isolates).
@@ -630,6 +773,17 @@ pub struct SageModel {
     quant: QuantState,
 }
 
+/// The edge weights of a weighted [`SageModel::forward_rows`] and where
+/// [`SageModel::backward_rows`] accumulates their gradient.
+pub(crate) struct EdgeGrad<'a> {
+    /// The model input the forward read.
+    pub(crate) x: &'a Matrix,
+    /// The forward's edge weights, one per CSR slot.
+    pub(crate) weights: &'a [f32],
+    /// `∂L/∂w`, one per CSR slot: added to, not overwritten.
+    pub(crate) grad: &'a mut [f32],
+}
+
 /// One layer's parameters as borrowed matrices:
 /// `(W_root, W_nbr, bias)`.
 pub type LayerWeights<'a> = (&'a Matrix, &'a Matrix, &'a Matrix);
@@ -667,7 +821,7 @@ impl SageModel {
     /// This is the all-rows call of the row-set forward the trainers
     /// and [`crate::predict_events`] run (DESIGN.md §10).
     pub fn forward_cached(&mut self, csr: &Csr, x: &Matrix, train: bool) -> &Matrix {
-        self.forward_rows(csr, x, None, train)
+        self.forward_rows(csr, x, None, None, train)
     }
 
     /// Forward pass computing, at layer `l`, every node (`rows` is
@@ -675,12 +829,15 @@ impl SageModel {
     /// row per node, or one per root in ascending id
     /// ([`LayerRows::root_row`]); each computed row is bitwise the
     /// all-rows pass's row of that node. `x` always holds one row per
-    /// node.
+    /// node. `edge_weights`, one per CSR slot, weights every layer's
+    /// neighbour mean (GNNExplainer's edge mask); all ones is bitwise
+    /// the unweighted pass.
     pub(crate) fn forward_rows(
         &mut self,
         csr: &Csr,
         x: &Matrix,
         rows: Option<&LayerRows>,
+        edge_weights: Option<&[f32]>,
         train: bool,
     ) -> &Matrix {
         let n_layers = self.layers.len();
@@ -693,7 +850,7 @@ impl SageModel {
                 Some(p) => &p.buf_out,
                 None => x,
             };
-            rest[0].forward_into(csr, h, rows, l, train);
+            rest[0].forward_into(csr, h, rows, edge_weights, l, train);
         }
         let computed = rows.map_or(n_layers * csr.node_count(), |r| {
             r.nodes.iter().map(Vec::len).sum()
@@ -715,20 +872,34 @@ impl SageModel {
     /// train-mode forward with no intervening forward pass (the layer
     /// caches double as the forward scratch buffers).
     pub fn backward(&mut self, csr: &Csr, d_logits: &Matrix) {
-        self.backward_rows(csr, d_logits, None);
+        self.backward_rows(csr, d_logits, None, None);
     }
 
     /// Backward pass over the rows of the preceding train-mode
     /// [`Self::forward_rows`], which must have used the same `rows`;
-    /// `d_logits` has one row per row of that forward's result.
-    pub(crate) fn backward_rows(&mut self, csr: &Csr, d_logits: &Matrix, rows: Option<&LayerRows>) {
+    /// `d_logits` has one row per row of that forward's result. After a
+    /// weighted forward, `edge` accumulates `∂L/∂w` as well.
+    pub(crate) fn backward_rows(
+        &mut self,
+        csr: &Csr,
+        d_logits: &Matrix,
+        rows: Option<&LayerRows>,
+        mut edge: Option<EdgeGrad<'_>>,
+    ) {
         for l in (0..self.layers.len()).rev() {
             let (head, tail) = self.layers.split_at_mut(l + 1);
+            let (below, at) = head.split_at_mut(l);
             let g: &Matrix = match tail.first() {
                 Some(next) => &next.buf_d_h,
                 None => d_logits,
             };
-            head[l].backward_into(csr, g, rows, l);
+            // Layer `l` read the layer below's output, intact until the
+            // next forward, or the model input.
+            let edge = edge.as_mut().map(|e| {
+                let h = below.last().map_or(e.x, |p| &p.buf_out);
+                (h, e.weights, &mut *e.grad)
+            });
+            at[0].backward_into(csr, g, rows, l, edge);
         }
     }
 
@@ -750,7 +921,7 @@ impl SageModel {
 
     /// Class probabilities of the rows [`Self::forward_rows`] returns.
     pub(crate) fn proba_rows(&mut self, csr: &Csr, x: &Matrix, rows: Option<&LayerRows>) -> Matrix {
-        let mut logits = self.forward_rows(csr, x, rows, false).clone();
+        let mut logits = self.forward_rows(csr, x, rows, None, false).clone();
         let k = self.cfg.n_classes;
         for row in logits.as_mut_slice().chunks_exact_mut(k) {
             trail_linalg::vector::softmax_inplace(row);
@@ -758,24 +929,28 @@ impl SageModel {
         logits
     }
 
-    /// Layer weights — the explainer re-runs the model on masked
-    /// subgraphs.
+    /// Logits of `roots` (ascending id, duplicates once) from the
+    /// row-set forward, with every neighbour mean weighted per CSR slot
+    /// when `edge_weights` is given. All-ones weights give the
+    /// unweighted logits bit for bit (DESIGN.md §10).
+    pub fn logits_at(
+        &mut self,
+        csr: &Csr,
+        x: &Matrix,
+        roots: &[NodeId],
+        edge_weights: Option<&[f32]>,
+    ) -> Matrix {
+        let rows = LayerRows::new(csr, roots, self.layers.len());
+        self.forward_rows(csr, x, Some(&rows), edge_weights, false)
+            .clone()
+    }
+
+    /// Layer weights `(W_root, W_nbr, b)`, borrowed.
     pub fn weights(&self) -> Vec<LayerWeights<'_>> {
         self.layers
             .iter()
             .map(|l| (&l.w_root.value, &l.w_nbr.value, &l.b.value))
             .collect()
-    }
-
-    /// Whether layer `l` applies L2 normalisation (hidden layers with
-    /// the Eq. 4 option on).
-    pub fn layer_is_normalised(&self, l: usize) -> bool {
-        !self.layers[l].last && self.layers[l].l2_normalize
-    }
-
-    /// Whether layer `l` applies the ReLU activation (all but the last).
-    pub fn layer_is_hidden(&self, l: usize) -> bool {
-        !self.layers[l].last
     }
 
     /// Clone of every layer's parameter values `(W_root, W_nbr, b)`.
@@ -932,7 +1107,7 @@ impl SageModel {
             let d_out = layer.w_root.value.cols();
             ensure_shape(agg, n, d_in);
             let weight = SweepWeight::MeanOfNeighbors;
-            neighbor_mean_sweep_into(csr, input, weight, None, None, threads, agg);
+            neighbor_mean_sweep_into(csr, input, weight, None, None, None, threads, agg);
             qh.quantize_prefix_into(input, n);
             qagg.quantize_rows_into(agg);
             ensure_shape(out, n, d_out);
@@ -973,7 +1148,7 @@ impl SageModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
     use trail_graph::{EdgeKind, GraphStore, NodeKind};
     use trail_ml::nn::loss::softmax_cross_entropy;
 
@@ -1028,6 +1203,69 @@ mod tests {
             .map(|(&a, &b)| a * b)
             .sum();
         assert!((lhs - rhs).abs() < 1e-5, "{lhs} vs {rhs}");
+    }
+
+    /// `∂L/∂w` of the weighted backward against central differences of
+    /// the weighted forward, for `L = ⟨d, logits of the root⟩` of a
+    /// 2-layer model on a multigraph with a parallel edge, a self-loop
+    /// and an isolate, with L2 off and on.
+    #[test]
+    fn edge_weight_gradient_matches_finite_differences() {
+        let pairs = [(0, 1), (0, 1), (1, 2), (2, 2), (2, 3), (3, 0)];
+        let edges: Vec<(NodeId, NodeId, EdgeKind)> = pairs
+            .iter()
+            .map(|&(a, b)| (NodeId(a), NodeId(b), EdgeKind::InReport))
+            .collect();
+        let csr = Csr::from_edge_list(5, &edges);
+        let mut rng = StdRng::seed_from_u64(21);
+        let x = Matrix::from_fn(5, 3, |_, _| rng.gen_range(-1.0f32..1.0));
+        let d = Matrix::from_fn(1, 3, |_, _| rng.gen_range(-1.0f32..1.0));
+        let w: Vec<f32> = (0..csr.half_edge_count())
+            .map(|_| rng.gen_range(0.3f32..1.0))
+            .collect();
+        let rows = LayerRows::new(&csr, &[NodeId(1)], 2);
+        for l2_normalize in [false, true] {
+            let cfg = SageConfig {
+                l2_normalize,
+                ..SageConfig::new(3, 6, 2, 3)
+            };
+            let mut model = SageModel::new(&mut StdRng::seed_from_u64(22), cfg);
+            let mut loss = |w: &[f32]| -> f64 {
+                let out = model.forward_rows(&csr, &x, Some(&rows), Some(w), false);
+                out.row(0)
+                    .iter()
+                    .zip(d.row(0))
+                    .map(|(&o, &d)| (o * d) as f64)
+                    .sum()
+            };
+            let step = 5e-3f32;
+            let fd: Vec<f64> = (0..w.len())
+                .map(|s| {
+                    let (mut up, mut down) = (w.clone(), w.clone());
+                    up[s] += step;
+                    down[s] -= step;
+                    (loss(&up) - loss(&down)) / (2.0 * step as f64)
+                })
+                .collect();
+            let mut grad = vec![0.0f32; w.len()];
+            let _ = model.forward_rows(&csr, &x, Some(&rows), Some(&w), true);
+            let edge = EdgeGrad {
+                x: &x,
+                weights: &w,
+                grad: &mut grad,
+            };
+            model.backward_rows(&csr, &d, Some(&rows), Some(edge));
+            assert!(
+                grad.iter().any(|&g| g != 0.0),
+                "no gradient reached the weights"
+            );
+            for (s, (&g, &f)) in grad.iter().zip(&fd).enumerate() {
+                assert!(
+                    (g as f64 - f).abs() <= 1e-3 + 1e-2 * f.abs(),
+                    "slot {s}, L2 {l2_normalize}: backward {g} vs finite difference {f}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! (DESIGN.md §10).
 
 use rand::Rng;
-use trail_graph::{Csr, EdgeKind, NodeId};
+use trail_graph::{Csr, NodeId};
 use trail_linalg::Matrix;
 use trail_ml::nn::loss::softmax_cross_entropy_into;
 use trail_ml::nn::Adam;
@@ -152,9 +152,9 @@ fn masked_epoch<R: Rng + ?Sized>(
     for &(node, label) in targets.iter() {
         x[(node.index(), masking.offset + label as usize)] = 0.0;
     }
-    let logits = model.forward_rows(csr, x, Some(rows), true);
+    let logits = model.forward_rows(csr, x, Some(rows), None, true);
     let (loss, _) = ws.masked_loss_into(logits, targets, rows);
-    model.backward_rows(csr, &ws.d_logits, Some(rows));
+    model.backward_rows(csr, &ws.d_logits, Some(rows), None);
     model.step(adam);
     // Restore target labels.
     for &(node, label) in targets.iter() {
@@ -230,7 +230,7 @@ pub fn train_sage_masked<R: Rng + ?Sized>(
         );
         losses.push(loss);
         if let Some(val_rows) = &val_rows {
-            let val_logits = model.forward_rows(csr, x, Some(val_rows), false);
+            let val_logits = model.forward_rows(csr, x, Some(val_rows), None, false);
             let (_, val_acc) = val_ws.masked_loss_into(val_logits, val, val_rows);
             if val_acc > best_val + 1e-9 {
                 best_val = val_acc;
@@ -250,62 +250,6 @@ pub fn train_sage_masked<R: Rng + ?Sized>(
         model.restore_params(snap);
     }
     (model, losses)
-}
-
-/// [`train_sage_masked`] on a sampled neighbourhood subgraph instead
-/// of the full graph (the GraphSAGE mini-batch recipe).
-///
-/// The training loop only ever reads the `layers`-hop neighbourhood of
-/// the supervised nodes, so the epochs run on the induced subgraph
-/// around `train ∪ val` extracted by [`crate::sampler::sample_k_hop`]
-/// with a per-node `neighbor_cap` (0 = uncapped, which still prunes
-/// everything outside `layers` hops of a supervised node). Weight
-/// shapes depend only on `sage_cfg`, so the returned model predicts on
-/// the *full* graph unchanged.
-///
-/// Contract: this is an approximation, not an equivalence — capping
-/// neighbourhoods changes the aggregation statistics, so accuracy is
-/// only epsilon-close to full-graph training (see the fixture agreement
-/// test gating the `--sampled` pipeline mode). Determinism still holds:
-/// the subgraph and the training trajectory are pure functions of the
-/// RNG state.
-#[allow(clippy::too_many_arguments)]
-pub fn train_sage_masked_sampled<R: Rng + ?Sized>(
-    rng: &mut R,
-    csr: &Csr,
-    x: &Matrix,
-    sage_cfg: SageConfig,
-    train: &[(NodeId, u16)],
-    val: &[(NodeId, u16)],
-    cfg: &TrainConfig,
-    masking: LabelMasking,
-    neighbor_cap: usize,
-) -> (SageModel, Vec<f32>) {
-    assert!(!train.is_empty());
-    let _span = trail_obs::span("gnn.sampled_train");
-    let roots: Vec<NodeId> = train.iter().chain(val).map(|&(n, _)| n).collect();
-    let sub = crate::sampler::sample_k_hop(rng, csr, &roots, sage_cfg.layers as u32, neighbor_cap);
-    // Induced sub-CSR over local ids. Mean aggregation is kind-blind,
-    // so any filler edge kind works.
-    let edges: Vec<(NodeId, NodeId, EdgeKind)> = sub
-        .edges
-        .iter()
-        .map(|&(a, b)| (NodeId(a as u32), NodeId(b as u32), EdgeKind::InReport))
-        .collect();
-    let sub_csr = Csr::from_edge_list(sub.len(), &edges);
-    let rows: Vec<usize> = sub.nodes.iter().map(|n| n.index()).collect();
-    let mut x_sub = x.gather_rows(&rows);
-    let localise = |pairs: &[(NodeId, u16)]| -> Vec<(NodeId, u16)> {
-        pairs
-            .iter()
-            .map(|&(n, c)| (NodeId(sub.local_of[&n] as u32), c))
-            .collect()
-    };
-    let train_sub = localise(train);
-    let val_sub = localise(val);
-    train_sage_masked(
-        rng, &sub_csr, &mut x_sub, sage_cfg, &train_sub, &val_sub, cfg, masking,
-    )
 }
 
 /// Continue training an existing model on new labelled events with
@@ -536,125 +480,6 @@ mod tests {
             stopped_acc >= last_acc,
             "early-stop model ({stopped_acc}) scores worse on val than last epoch ({last_acc})"
         );
-    }
-
-    #[test]
-    fn sampled_training_learns_and_predicts_on_the_full_graph() {
-        let (g, events) = clustered(8);
-        let csr = Csr::from_store(&g);
-        let mut x = features(&g, &events, 8);
-        let mut rng = StdRng::seed_from_u64(5);
-        let cfg = SageConfig::new(3, 16, 2, 2);
-        let train: Vec<_> = events[..8].to_vec();
-        let test: Vec<_> = events[8..].to_vec();
-        let masking = LabelMasking {
-            offset: 1,
-            visible_fraction: 0.5,
-        };
-        let (mut model, losses) = train_sage_masked_sampled(
-            &mut rng,
-            &csr,
-            &x,
-            cfg,
-            &train,
-            &[],
-            &TrainConfig {
-                lr: 0.03,
-                epochs: 80,
-                patience: 0,
-            },
-            masking,
-            0, // uncapped: subgraph = 2-hop closure of the train events
-        );
-        assert!(losses.last().unwrap() < &losses[0]);
-        // The returned model scores nodes of the FULL graph: make every
-        // train label visible and predict the held-out events.
-        for &(id, class) in &train {
-            x[(id.index(), 1 + class as usize)] = 1.0;
-        }
-        let targets: Vec<NodeId> = test.iter().map(|&(id, _)| id).collect();
-        let preds = predict_events(&mut model, &csr, &x, &targets);
-        let correct = preds
-            .iter()
-            .zip(&test)
-            .filter(|((p, _), (_, t))| p == t)
-            .count();
-        assert!(
-            correct as f64 / test.len() as f64 > 0.8,
-            "{correct}/{}",
-            test.len()
-        );
-    }
-
-    #[test]
-    fn sampled_training_with_a_cap_still_runs_and_learns() {
-        let (g, events) = clustered(8);
-        let csr = Csr::from_store(&g);
-        let x = features(&g, &events, 8);
-        let mut rng = StdRng::seed_from_u64(6);
-        let cfg = SageConfig::new(3, 16, 2, 2);
-        let train: Vec<_> = events[..8].to_vec();
-        let val: Vec<_> = events[8..12].to_vec();
-        let masking = LabelMasking {
-            offset: 1,
-            visible_fraction: 0.5,
-        };
-        let (_, losses) = train_sage_masked_sampled(
-            &mut rng,
-            &csr,
-            &x,
-            cfg,
-            &train,
-            &val,
-            &TrainConfig {
-                lr: 0.03,
-                epochs: 60,
-                patience: 10,
-            },
-            masking,
-            3, // each expanded node keeps at most 3 neighbours
-        );
-        assert!(!losses.is_empty());
-        assert!(losses.last().unwrap() < &losses[0]);
-    }
-
-    #[test]
-    fn sampled_training_is_deterministic_for_a_fixed_seed() {
-        let (g, events) = clustered(6);
-        let csr = Csr::from_store(&g);
-        let x = features(&g, &events, 6);
-        let cfg = SageConfig::new(3, 8, 2, 2);
-        let train: Vec<_> = events[..6].to_vec();
-        let masking = LabelMasking {
-            offset: 1,
-            visible_fraction: 0.5,
-        };
-        let tc = TrainConfig {
-            lr: 0.03,
-            epochs: 20,
-            patience: 0,
-        };
-        let run = |seed: u64| {
-            train_sage_masked_sampled(
-                &mut StdRng::seed_from_u64(seed),
-                &csr,
-                &x,
-                cfg,
-                &train,
-                &[],
-                &tc,
-                masking,
-                2,
-            )
-        };
-        let (ma, la) = run(11);
-        let (mb, lb) = run(11);
-        assert_eq!(la, lb, "loss trajectories diverged at the same seed");
-        for ((ra, na, ba), (rb, nb, bb)) in ma.weights().into_iter().zip(mb.weights()) {
-            assert_eq!(ra, rb);
-            assert_eq!(na, nb);
-            assert_eq!(ba, bb);
-        }
     }
 
     /// A model trained with early stopping on the first eight events.

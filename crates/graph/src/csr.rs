@@ -212,7 +212,15 @@ impl Csr {
     /// Neighbours of a node.
     #[inline]
     pub fn neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.targets[self.offsets[id.index()] as usize..self.offsets[id.index() + 1] as usize]
+        &self.targets[self.slots(id)]
+    }
+
+    /// The half-edge slots of a node's row: `neighbors(id)[i]` is slot
+    /// `slots(id).start + i`, in `0..half_edge_count()`. Per-half-edge
+    /// data (edge weights, edge masks) is indexed by slot.
+    #[inline]
+    pub fn slots(&self, id: NodeId) -> std::ops::Range<usize> {
+        self.offsets[id.index()] as usize..self.offsets[id.index() + 1] as usize
     }
 
     /// Neighbours of a node with the edge kind of each incident edge.
@@ -220,7 +228,7 @@ impl Csr {
         &self,
         id: NodeId,
     ) -> impl Iterator<Item = (NodeId, EdgeKind)> + '_ {
-        let r = self.offsets[id.index()] as usize..self.offsets[id.index() + 1] as usize;
+        let r = self.slots(id);
         self.targets[r.clone()]
             .iter()
             .copied()

@@ -88,28 +88,23 @@ fn main() {
         .iter()
         .max_by_key(|e| system.tkg.graph.degree(e.node))
         .unwrap();
-    let sub = trail_gnn::sampler::sample_k_hop(&mut rng, &csr, &[event.node], 2, 12);
-    let rows: Vec<usize> = sub.nodes.iter().map(|n| n.index()).collect();
-    let x_sub = x.gather_rows(&rows);
-    let target = sub.local_of[&event.node];
     let expl = trail_gnn::explain::explain(
         &model,
-        &sub,
-        &x_sub,
-        target,
+        &csr,
+        &x,
+        event.node,
         event.apt as usize,
         &trail_gnn::explain::ExplainerConfig::default(),
     );
     println!(
-        "\nevent {} ({}): {}-node neighbourhood, model p(class) = {:.2}",
+        "\nevent {} ({}): {}-member 2-hop ball, model p(class) = {:.2}",
         event.report_id,
         system.tkg.registry.name(event.apt),
-        sub.len(),
+        expl.members.len(),
         expl.base_probability
     );
     println!("most influential IOCs (cf. paper Fig. 10):");
-    for local in expl.top_nodes(target, 10) {
-        let node = sub.nodes[local];
+    for (node, importance) in expl.top_nodes(10) {
         let rec = system.tkg.graph.node(node);
         println!(
             "  {:<8} {:<45} importance {:.3}",
@@ -121,7 +116,7 @@ fn main() {
                 .chars()
                 .take(45)
                 .collect::<String>(),
-            expl.node_importance[local]
+            importance
         );
     }
 }

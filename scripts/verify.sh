@@ -13,7 +13,8 @@
 # tests/wal_recovery_test.rs, the live re-freeze + hot-swap drill of
 # tests/hot_swap_test.rs, the stream == batch suite and the
 # zero-allocation / study-oracle tests included), then runs the
-# `#[ignore]`d tests only, and the quickstart example.
+# `#[ignore]`d tests only, and the quickstart and explain_attribution
+# examples.
 #
 # The chaos tier adds what no test covers: `repro --resume` must
 # reject two corrupted checkpoints with a typed error, never a panic —
@@ -70,6 +71,9 @@ cargo test -q --workspace -- --ignored
 
 echo "== quickstart smoke =="
 cargo run --release --example quickstart >/dev/null
+
+echo "== explain_attribution smoke =="
+cargo run --release --example explain_attribution >/dev/null
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -519,6 +519,42 @@ proptest! {
         prop_assert_eq!(weight_bits(&full), weight_bits(&local), "fine-tuned weights differ at depth {}", depth);
     }
 
+    /// The edge-weighted row-set forward with every weight at 1 is the
+    /// unweighted forward bit for bit (DESIGN.md §10), on the full
+    /// multigraph and on the roots' model-depth ball, at depths 1–3,
+    /// with and without L2. Graphs carry parallel edges, self-loops and
+    /// isolates; roots may repeat.
+    #[test]
+    fn all_ones_edge_weights_are_the_unweighted_forward_bitwise(
+        n in 1usize..40,
+        edges in proptest::collection::vec((0usize..40, 0usize..40), 0..90),
+        roots in proptest::collection::vec(0usize..40, 1..6),
+        depth in 1usize..4,
+        seed in 0u64..10_000,
+    ) {
+        // `k_hop` and the forwards record into the registry.
+        let _g = obs_lock();
+        let csr = lemma_graph(n, &edges);
+        let roots: Vec<NodeId> = roots.iter().map(|&r| NodeId::from(r % n)).collect();
+        let x = lemma_features(seed, n, &roots);
+        let cfg = SageConfig {
+            l2_normalize: seed % 2 == 0,
+            ..SageConfig::new(LEMMA_CODE + LEMMA_CLASSES, 6, depth, LEMMA_CLASSES)
+        };
+        let mut model = SageModel::new(&mut StdRng::seed_from_u64(seed), cfg);
+        let plain = model.logits_at(&csr, &x, &roots, None);
+        let ones = vec![1.0f32; csr.half_edge_count()];
+        let weighted = model.logits_at(&csr, &x, &roots, Some(&ones));
+        prop_assert_eq!(f32_bits(plain.as_slice()), f32_bits(weighted.as_slice()), "full graph, depth {}", depth);
+
+        let ball = Ball::new(&csr, &roots, depth as u32);
+        let x_ball = x.gather_rows(&ball.members().iter().map(|m| m.index()).collect::<Vec<_>>());
+        let roots_ball: Vec<NodeId> = roots.iter().map(|&r| ball.local(r).expect("root in its ball")).collect();
+        let ones = vec![1.0f32; ball.csr().half_edge_count()];
+        let on_ball = model.logits_at(ball.csr(), &x_ball, &roots_ball, Some(&ones));
+        prop_assert_eq!(f32_bits(plain.as_slice()), f32_bits(on_ball.as_slice()), "ball, depth {}", depth);
+    }
+
     /// The row-set trainers and predictions equal the all-rows oracle
     /// bit for bit: losses, every weight and the predictions, with
     /// early stopping on a validation set, at depths 1–3, with and
