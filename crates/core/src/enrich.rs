@@ -29,7 +29,7 @@
 //! strings, encode features — and a graph-mutating **apply** step. The
 //! query step depends only on the canonical key (outcomes, fault
 //! schedules and gaps are all deterministic per key and attempt), never
-//! on graph state, so its result can be memoised in a [`QueryMap`] and
+//! on graph state, so its result can be memoised in a `QueryMap` and
 //! replayed later. The sequential path runs query-then-apply inline;
 //! the sharded build (`crate::shard`) computes the query maps in
 //! parallel and replays them through the *same* apply code, which is

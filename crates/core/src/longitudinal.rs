@@ -459,21 +459,21 @@ pub fn case_study<R: Rng + ?Sized>(
     let info = sys.tkg.event_by_report(&event.report.id)?.clone();
 
     let csr = sys.tkg.csr();
-    let hood2 = trail_graph::algo::k_hop(&csr, &[info.node], 2);
-    let neighborhood_iocs = hood2
-        .iter()
-        .filter(|&&(n, _)| !matches!(sys.tkg.graph.node(n).kind, trail_graph::NodeKind::Event))
-        .count();
-    let events_at = |radius: u32| {
-        trail_graph::algo::k_hop(&csr, &[info.node], radius)
-            .iter()
-            .filter(|&&(n, d)| {
-                d > 0 && matches!(sys.tkg.graph.node(n).kind, trail_graph::NodeKind::Event)
-            })
-            .count()
-    };
-    let events_2hop = events_at(2);
-    let events_3hop = events_at(3);
+    // One 3-hop ball serves all three counts.
+    let ball = trail_graph::algo::Ball::new(&csr, &[info.node], 3);
+    let (mut neighborhood_iocs, mut events_2hop, mut events_3hop) = (0, 0, 0);
+    for (&n, &hop) in ball.members().iter().zip(ball.hops()) {
+        let event = sys.tkg.graph.node(n).kind == trail_graph::NodeKind::Event;
+        if !event && hop <= 2 {
+            neighborhood_iocs += 1;
+        }
+        if event && hop > 0 {
+            events_3hop += 1;
+            if hop <= 2 {
+                events_2hop += 1;
+            }
+        }
+    }
 
     // Label propagation with all base labels as seeds.
     let lp = trail_gnn::LabelPropagation::new(&csr, sys.tkg.n_classes());
@@ -496,7 +496,7 @@ pub fn case_study<R: Rng + ?Sized>(
     let mut x_train = assemble_gnn_input(&sys.tkg, &emb, &base_pairs);
     let masking = trail_gnn::LabelMasking {
         offset: emb.code_dim + 5,
-        visible_fraction: 0.5,
+        visible_fraction: cfg.gnn.label_visible_fraction,
     };
     let (mut model, _) = trail_gnn::train_sage_masked(
         rng,
@@ -687,5 +687,30 @@ mod tests {
         assert!(cs.events_3hop >= cs.events_2hop);
         assert!((0.0..=1.0).contains(&cs.gnn_masked.1));
         assert!((0.0..=1.0).contains(&cs.gnn_visible.1));
+    }
+
+    /// The case study's GNN trains under the configured label mask:
+    /// two studies that differ only in `label_visible_fraction` train
+    /// different models.
+    #[test]
+    fn case_study_honours_the_label_visible_fraction() {
+        let confidences = |fraction: f32| {
+            let mut cfg = tiny_cfg();
+            cfg.gnn.label_visible_fraction = fraction;
+            let cs = case_study(&mut StdRng::seed_from_u64(10), tiny_sys(), &cfg, "APT38")
+                .expect("study window has events");
+            (cs.gnn_masked.1, cs.gnn_visible.1)
+        };
+        let (half, most) = (confidences(0.5), confidences(0.9));
+        assert_ne!(
+            half.0.to_bits(),
+            most.0.to_bits(),
+            "masked: {half:?} vs {most:?}"
+        );
+        assert_ne!(
+            half.1.to_bits(),
+            most.1.to_bits(),
+            "visible: {half:?} vs {most:?}"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! the connected-component / diameter analysis, and the Fig. 3 ego-net
 //! summary.
 
-use trail_graph::algo::{connected_components, diameter_double_sweep, ego_net};
+use trail_graph::algo::{connected_components, diameter_double_sweep, Ball};
 use trail_graph::{Csr, NodeId, NodeKind};
 
 use crate::tkg::Tkg;
@@ -153,11 +153,15 @@ pub fn first_order_subgraph(tkg: &Tkg) -> trail_graph::GraphStore {
     sub
 }
 
-/// Fig. 3-style ego-net summary of one event: per-kind counts at the
-/// given radius.
+/// Fig. 3-style ego-net summary of one event: per-kind member counts,
+/// indexed by [`NodeKind::index`], of the event's [`Ball`] of the given
+/// radius (the event itself included).
 pub fn egonet_summary(tkg: &Tkg, csr: &Csr, event: NodeId, radius: u32) -> [usize; 5] {
-    let net = ego_net(&tkg.graph, csr, event, radius);
-    net.kind_counts(&tkg.graph)
+    let mut counts = [0usize; 5];
+    for &id in Ball::new(csr, &[event], radius).members() {
+        counts[tkg.graph.node(id).kind.index()] += 1;
+    }
+    counts
 }
 
 #[cfg(test)]

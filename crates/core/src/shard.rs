@@ -42,8 +42,9 @@
 //! repeat keys).
 //!
 //! The shard path refuses order-dependent enrichment: a circuit
-//! breaker makes query outcomes depend on the global query *sequence*, so [`build_tkg_sharded`] callers must fall back to
-//! the sequential walk (see `TrailSystem::build_with_shards`).
+//! breaker makes query outcomes depend on the global query *sequence*,
+//! so `build_tkg_sharded` callers must fall back to the sequential
+//! walk (see `TrailSystem::build_with_shards`).
 
 use trail_ioc::fnv1a;
 use trail_osint::OsintClient;

@@ -496,13 +496,14 @@ impl StreamRuntime {
         // Both predictions and the fine-tune read only the model-depth
         // ball around the tick's events: run them there, on local ids,
         // bitwise equal to the full-graph passes (DESIGN.md §10).
-        let (ball, mut x_ball) = {
+        let (ball, sub, mut x_ball) = {
             let _span = trail_obs::span("stream.ball");
             // One radius serves both models: they share one `SageConfig`.
             let depth = self.fresh_model.config().layers as u32;
             let ball = Ball::new(&csr, &targets, depth);
+            let sub = ball.induced(&csr);
             let x_ball = self.ball_input(&ball);
-            (ball, x_ball)
+            (ball, sub, x_ball)
         };
         trail_obs::observe(
             "stream.tick_ball_nodes",
@@ -515,7 +516,7 @@ impl StreamRuntime {
         // Fresh model first: the label block already equals
         // `fresh_visible` (same order as the incremental study; both
         // predictions are rng-free).
-        let fresh_preds = predict_events(&mut self.fresh_model, ball.csr(), &x_ball, &ball_targets);
+        let fresh_preds = predict_events(&mut self.fresh_model, &sub, &x_ball, &ball_targets);
         let fresh_hard: Vec<u16> = fresh_preds.iter().map(|&(c, _)| c).collect();
 
         // Stale view: hide the post-base labels inside the ball, predict,
@@ -530,7 +531,7 @@ impl StreamRuntime {
         for &cell in &post_base {
             x_ball[cell] = 0.0;
         }
-        let stale_preds = predict_events(&mut self.stale_model, ball.csr(), &x_ball, &ball_targets);
+        let stale_preds = predict_events(&mut self.stale_model, &sub, &x_ball, &ball_targets);
         let stale_hard: Vec<u16> = stale_preds.iter().map(|&(c, _)| c).collect();
         for &cell in &post_base {
             x_ball[cell] = 1.0;
@@ -576,7 +577,7 @@ impl StreamRuntime {
         trail_gnn::train::fine_tune_masked(
             &mut stage_rng(self.tick_key, u64::from(month)),
             &mut self.fresh_model,
-            ball.csr(),
+            &sub,
             &mut x_ball,
             &ball_events,
             &self.cfg.study.fine_tune,
@@ -644,12 +645,12 @@ impl StreamRuntime {
     /// `trail-serve` packages into a bundle (the re-freeze half of
     /// bundle hot-swap; see [`crate::freeze::refreeze`]).
     ///
-    /// Catches the incremental state up first ([`Self::sync`]: right
+    /// Catches the incremental state up first (`Self::sync`: right
     /// after a tick that is a no-op, otherwise it merges and encodes
     /// only what was pushed since), then clones the current codes and
     /// the fresh model's weights. Draws no RNG and fires no tick, so
     /// freezing never perturbs the stream/batch equivalence contract —
-    /// `&mut` only because [`Self::sync`] folds pending graph growth
+    /// `&mut` only because `Self::sync` folds pending graph growth
     /// into the caches.
     pub fn freeze_fresh(&mut self) -> crate::freeze::FrozenModel {
         let _span = trail_obs::span("stream.refreeze");

@@ -98,7 +98,7 @@ pub fn explain(
     let ball = Ball::new(csr, &[target], depth as u32);
     let rows: Vec<usize> = ball.members().iter().map(|m| m.index()).collect();
     let x_ball = x.gather_rows(&rows);
-    let sub = ball.csr();
+    let sub = &ball.induced(csr);
     let root = ball.local(target).expect("the target is in its ball");
     let layer_rows = LayerRows::new(sub, &[root], depth);
     // The model reads the rows of the members within `depth − 1` hops:

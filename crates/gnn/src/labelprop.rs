@@ -7,8 +7,9 @@
 //! exploit secondary IOCs (`e_i → IP → domain → e_j`) and, at four
 //! layers, ASN co-location (`e_i → IP → ASN → IP → e_j`).
 
-use trail_graph::algo::k_hop;
 use trail_graph::{Csr, NodeId};
+
+use crate::sage::LayerRows;
 
 /// `1/√deg`, or 0 for an isolate.
 fn inv_sqrt_degree(csr: &Csr, v: NodeId) -> f32 {
@@ -17,36 +18,6 @@ fn inv_sqrt_degree(csr: &Csr, v: NodeId) -> f32 {
         0.0
     } else {
         1.0 / (d as f32).sqrt()
-    }
-}
-
-/// The rows a prediction reads: the nodes within `layers` hops of the
-/// targets in BFS order, so iteration `i` computes a prefix — the
-/// nodes within `layers − 1 − i` hops (DESIGN.md §10).
-struct TargetRows {
-    /// Node of each row, hop-ascending.
-    nodes: Vec<NodeId>,
-    /// `keep[i]`: rows iteration `i` computes.
-    keep: Vec<usize>,
-    /// Node → row; `u32::MAX` outside.
-    row: Vec<u32>,
-}
-
-impl TargetRows {
-    fn new(csr: &Csr, targets: &[NodeId], layers: usize) -> Self {
-        let hood = k_hop(csr, targets, layers as u32);
-        let keep = (0..layers)
-            .map(|i| hood.partition_point(|&(_, hop)| hop as usize + i < layers))
-            .collect();
-        let mut row = vec![u32::MAX; csr.node_count()];
-        for (r, &(v, _)) in hood.iter().enumerate() {
-            row[v.index()] = r as u32;
-        }
-        Self {
-            nodes: hood.into_iter().map(|(v, _)| v).collect(),
-            keep,
-            row,
-        }
     }
 }
 
@@ -82,74 +53,80 @@ impl<'g> LabelPropagation<'g> {
     }
 
     /// The propagation over every node (`rows` is `None`) or over the
-    /// rows a prediction reads; returns one score row per row.
+    /// rows a prediction reads: the `layers + 1` sets of
+    /// [`LayerRows`], where set 0 holds the seed rows and iteration `i`
+    /// computes set `i + 1`, the nodes within `layers − 1 − i` hops of
+    /// the targets. Returns one score row per row of the last set.
     ///
     /// Each sweep is a gather by destination row — `next[u] =
     /// Σ_{v∈N(u)} w(u,v)·f[v]`, the same sum the scatter formulation
     /// produces over the symmetric CSR — so every output row is
     /// written by exactly one thread and the scores are bitwise
     /// identical for every thread count. A row's sum reads only its
-    /// neighbours' rows, in CSR order, so a row computed over
-    /// [`TargetRows`] is bitwise the full propagation's.
+    /// neighbours' rows, in CSR order, so a row computed over a row
+    /// set is bitwise the full propagation's.
     fn propagate_rows(
         &self,
         seeds: &[Option<u16>],
         layers: usize,
-        rows: Option<&TargetRows>,
+        rows: Option<&LayerRows>,
         threads: usize,
     ) -> Vec<f32> {
         let _span = trail_obs::span("gnn.labelprop");
         let n = self.csr.node_count();
         assert_eq!(seeds.len(), n);
         let k = self.n_classes;
-        let node = |r: usize| rows.map_or(NodeId::from(r), |t| t.nodes[r]);
-        let n_rows = rows.map_or(n, |t| t.nodes.len());
-        let mut f = vec![0.0f32; n_rows * k];
-        for r in 0..n_rows {
-            if let Some(c) = seeds[node(r).index()] {
+        // Set `l`: its length, the node of row `r`, the row of node `v`.
+        let len = |l: usize| rows.map_or(n, |t| t.nodes[l].len());
+        let node = |l: usize, r: usize| rows.map_or(NodeId::from(r), |t| NodeId(t.nodes[l][r]));
+        let row = |l: usize, v: NodeId| rows.map_or(v.index(), |t| t.pos[l][v.index()] as usize);
+        let mut f = vec![0.0f32; len(0) * k];
+        for r in 0..len(0) {
+            if let Some(c) = seeds[node(0, r).index()] {
                 f[r * k + c as usize] = 1.0;
             }
         }
-        if n_rows == 0 || k == 0 {
+        if f.is_empty() {
             return f;
         }
-        let inv_sqrt_deg: Vec<f32> = (0..n_rows)
-            .map(|r| inv_sqrt_degree(self.csr, node(r)))
+        let mut next = Vec::new();
+        let mut inv_sqrt_deg: Vec<f32> = (0..len(0))
+            .map(|r| inv_sqrt_degree(self.csr, node(0, r)))
             .collect();
-        let mut next = vec![0.0f32; n_rows * k];
         // Rows whose score row is still all-zero contribute nothing;
         // the mask keeps the sparse early iterations cheap (labels
         // take `layers` hops to cover the graph).
-        let mut live = vec![false; n_rows];
+        let mut live = Vec::new();
         for i in 0..layers {
-            // A row's neighbours lie within the previous iteration's
-            // rows; the buffers shrink to them, so a neighbour outside
-            // panics on the bounds instead of reading a stale row.
-            let keep = rows.map_or(n, |t| t.keep[i]);
-            let prev = f.len() / k;
-            live.truncate(prev);
-            for (r, alive) in live.iter_mut().enumerate() {
-                *alive = inv_sqrt_deg[r] != 0.0 && f[r * k..(r + 1) * k].iter().any(|&x| x != 0.0);
+            if let Some(t) = rows.filter(|_| i > 0) {
+                // Set `i`'s factors, gathered from set `i − 1`'s.
+                inv_sqrt_deg = t.gather[i].iter().map(|&p| inv_sqrt_deg[p]).collect();
             }
-            next.truncate(keep * k);
+            live.clear();
+            live.extend((0..len(i)).map(|r| {
+                inv_sqrt_deg[r] != 0.0 && f[r * k..(r + 1) * k].iter().any(|&x| x != 0.0)
+            }));
+            // A row's neighbours lie within set `i`; one outside it
+            // finds no row and panics on the bounds instead of reading
+            // a stale one.
+            next.clear();
+            next.resize(len(i + 1) * k, 0.0);
             let csr = self.csr;
-            let inv_sqrt_deg = &inv_sqrt_deg;
-            let (f_ref, live_ref) = (&f, &live);
-            let src_row = |v: NodeId| rows.map_or(v.index(), |t| t.row[v.index()] as usize);
+            let (f_ref, live_ref, inv_ref) = (&f, &live, &inv_sqrt_deg);
             trail_linalg::pool::parallel_for_rows_limit(threads, &mut next, k, 16, |row0, band| {
                 for (j, dst) in band.chunks_exact_mut(k).enumerate() {
-                    let r = row0 + j;
+                    let u = node(i + 1, row0 + j);
                     dst.fill(0.0);
-                    let du = inv_sqrt_deg[r];
+                    let du = inv_ref[row(i, u)];
                     if du == 0.0 {
                         continue;
                     }
-                    for &v in csr.neighbors(node(r)) {
-                        let p = src_row(v);
+                    for &v in csr.neighbors(u) {
+                        let p = row(i, v);
                         if !live_ref[p] {
                             continue;
                         }
-                        let w = du * inv_sqrt_deg[p];
+                        let w = du * inv_ref[p];
                         let src = &f_ref[p * k..(p + 1) * k];
                         for (d, &s) in dst.iter_mut().zip(src) {
                             *d += w * s;
@@ -171,12 +148,12 @@ impl<'g> LabelPropagation<'g> {
         layers: usize,
         targets: &'a [NodeId],
     ) -> impl Iterator<Item = Vec<f32>> + 'a {
-        let rows = TargetRows::new(self.csr, targets, layers);
+        let rows = LayerRows::new(self.csr, targets, layers + 1);
         let threads = trail_linalg::pool::num_threads();
         let scores = self.propagate_rows(seeds, layers, Some(&rows), threads);
         let k = self.n_classes;
-        targets.iter().map(move |t| {
-            let r = rows.row[t.index()] as usize;
+        targets.iter().map(move |&t| {
+            let r = rows.root_row(t);
             scores[r * k..(r + 1) * k].to_vec()
         })
     }

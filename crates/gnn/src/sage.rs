@@ -8,9 +8,10 @@
 //! over the full graph's CSR: a mean-aggregation sweep followed by two
 //! dense linear maps. Backward passes mirror each step by hand. A pass
 //! asked about a root set computes, at layer `l` of `L`, only the nodes
-//! within `L−1−l` hops of the roots ([`LayerRows`]) — the rows the
-//! roots' outputs and the weight gradients depend on — and produces
-//! the all-rows pass's bits on them (DESIGN.md §10).
+//! within `L−1−l` hops of the roots (`LayerRows`, read from the roots'
+//! `trail_graph::algo::Ball`) — the rows the roots' outputs and the
+//! weight gradients depend on — and produces the all-rows pass's bits
+//! on them (DESIGN.md §10).
 //!
 //! Every layer owns its activation, cache and gradient buffers and the
 //! forward/backward passes write into them via the `_into` kernels, so
@@ -22,7 +23,7 @@
 //! formulation — outputs are bitwise unchanged.
 
 use rand::Rng;
-use trail_graph::algo::k_hop;
+use trail_graph::algo::ball::{Ball, NOT_A_MEMBER};
 use trail_graph::{Csr, NodeId};
 use trail_linalg::quant::{matmul_quant_acc, matmul_quant_into, QuantizedMatrix};
 use trail_linalg::{init, Matrix};
@@ -78,9 +79,6 @@ pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
     }
 }
 
-/// Position of a node outside a [`LayerRows`] row set.
-const ABSENT: u32 = u32::MAX;
-
 /// The rows each layer of an `L`-layer model computes for a root set:
 /// layer `l` computes the nodes within `L−1−l` hops of the roots, so
 /// the last layer computes the roots themselves and layer 0 the
@@ -90,43 +88,46 @@ const ABSENT: u32 = u32::MAX;
 /// Each set lists node ids in ascending order. The weight gradients
 /// sum over a layer's rows in row order, so only the full pass's order
 /// with its zero terms left out keeps their bits; a BFS order would not.
+///
+/// Label propagation reads the same sets: iteration `i` of `layers`
+/// computes set `i + 1` of the `layers + 1` sets around its targets.
 pub(crate) struct LayerRows {
     /// `nodes[l]`: layer `l`'s nodes, ascending.
-    nodes: Vec<Vec<u32>>,
+    pub(crate) nodes: Vec<Vec<u32>>,
     /// `pos[l][v]`: the row of node `v` in layer `l`'s output,
-    /// [`ABSENT`] outside its set.
-    pos: Vec<Vec<u32>>,
+    /// [`NOT_A_MEMBER`] outside its set.
+    pub(crate) pos: Vec<Vec<u32>>,
     /// `gather[l]`: the input row of each of layer `l`'s nodes — its
     /// row in layer `l−1`'s output, or its node id in the model input
     /// at layer 0.
-    gather: Vec<Vec<usize>>,
+    pub(crate) gather: Vec<Vec<usize>>,
 }
 
 impl LayerRows {
     /// The row sets of a `layers`-deep model around `roots` (duplicates
-    /// count once), from one `k_hop` of radius `layers − 1`.
+    /// count once), from the [`Ball`] of radius `layers − 1`: its
+    /// members are layer 0's set and its global→local table layer 0's
+    /// position map.
     pub(crate) fn new(csr: &Csr, roots: &[NodeId], layers: usize) -> Self {
         assert!(layers >= 1, "a model has at least one layer");
-        let mut hood = k_hop(csr, roots, (layers - 1) as u32);
-        hood.sort_unstable_by_key(|&(id, _)| id);
-        let mut nodes = Vec::with_capacity(layers);
-        let mut pos: Vec<Vec<u32>> = Vec::with_capacity(layers);
-        let mut gather = Vec::with_capacity(layers);
-        for l in 0..layers {
+        let (members, hops, table) = Ball::new(csr, roots, (layers - 1) as u32).into_parts();
+        let mut nodes = vec![members.iter().map(|v| v.0).collect::<Vec<u32>>()];
+        let mut gather = vec![members.iter().map(|v| v.index()).collect()];
+        let mut pos = vec![table];
+        for l in 1..layers {
             let reach = (layers - 1 - l) as u32;
-            let set: Vec<u32> = hood
+            let set: Vec<u32> = members
                 .iter()
-                .filter(|&&(_, hop)| hop <= reach)
-                .map(|&(id, _)| id.0)
+                .zip(&hops)
+                .filter(|&(_, &hop)| hop <= reach)
+                .map(|(v, _)| v.0)
                 .collect();
-            let mut at = vec![ABSENT; csr.node_count()];
+            let prev = &pos[l - 1];
+            gather.push(set.iter().map(|&v| prev[v as usize] as usize).collect());
+            let mut at = vec![NOT_A_MEMBER; csr.node_count()];
             for (i, &v) in set.iter().enumerate() {
                 at[v as usize] = i as u32;
             }
-            gather.push(match pos.last() {
-                Some(prev) => set.iter().map(|&v| prev[v as usize] as usize).collect(),
-                None => set.iter().map(|&v| v as usize).collect(),
-            });
             nodes.push(set);
             pos.push(at);
         }
@@ -139,7 +140,7 @@ impl LayerRows {
     /// If `node` is not a root.
     pub(crate) fn root_row(&self, node: NodeId) -> usize {
         let r = self.pos.last().expect("at least one layer")[node.index()];
-        assert_ne!(r, ABSENT, "node {node:?} is not a root of these rows");
+        assert_ne!(r, NOT_A_MEMBER, "node {node:?} is not a root of these rows");
         r as usize
     }
 }
@@ -528,7 +529,7 @@ enum SweepWeight {
 /// forward (mean) sweep must find every neighbour's row: reading a
 /// missing one panics on [`Matrix::row`]'s bounds instead of returning
 /// a wrong value. The adjoint sweep skips neighbours marked
-/// [`ABSENT`]: their upstream gradient is exactly zero, and adding
+/// [`NOT_A_MEMBER`]: their upstream gradient is exactly zero, and adding
 /// ±0 terms to a sum started at +0 changes no bit.
 #[allow(clippy::too_many_arguments)] // one kernel, every caller's knobs
 fn neighbor_mean_sweep_into(
@@ -556,7 +557,7 @@ fn neighbor_mean_sweep_into(
         let r = match src_pos {
             None => u.index(),
             Some(pos) => match pos[u.index()] {
-                ABSENT => return None,
+                NOT_A_MEMBER => return None,
                 r => r as usize,
             },
         };
@@ -1522,6 +1523,78 @@ mod tests {
         let exact = model.forward(&csr, &x, false);
         for (e, q) in exact.as_slice().iter().zip(after.as_slice()) {
             assert!((e - q).abs() <= 0.05, "{e} vs {q}");
+        }
+    }
+
+    /// The row sets as `LayerRows::new` built them before it read a
+    /// `Ball`: one `k_hop` of radius `layers − 1`, sorted by id, and
+    /// per layer the nodes with hop ≤ `layers − 1 − l`.
+    fn k_hop_row_sets(csr: &Csr, roots: &[NodeId], layers: usize) -> Vec<Vec<u32>> {
+        let mut hood = trail_graph::algo::k_hop(csr, roots, (layers - 1) as u32);
+        hood.sort_unstable_by_key(|&(id, _)| id);
+        (0..layers)
+            .map(|l| {
+                let reach = (layers - 1 - l) as u32;
+                hood.iter()
+                    .filter(|&&(_, hop)| hop <= reach)
+                    .map(|&(id, _)| id.0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every layer's set is exactly the ascending nodes within
+    /// `L−1−l` hops of the roots, and the position maps and gathers
+    /// agree with the sets, at depths 1–4 and at the `layers + 1`
+    /// depths label propagation builds (up to 5), on multigraphs with
+    /// self-loops, parallel edges, isolates and repeated roots.
+    #[test]
+    fn row_sets_equal_the_k_hop_filter() {
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: usize| {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((s >> 33) as usize) % bound
+        };
+        for _ in 0..60 {
+            let n = 1 + next(30);
+            // The top quarter of the ids stays edge-free: isolates.
+            let span = (n * 3 / 4).max(1);
+            let edges: Vec<(NodeId, NodeId, EdgeKind)> = (0..next(3 * n))
+                .map(|_| {
+                    let (a, b) = (next(span), next(span));
+                    (NodeId::from(a), NodeId::from(b), EdgeKind::InReport)
+                })
+                .collect();
+            let csr = Csr::from_edge_list(n, &edges);
+            let roots: Vec<NodeId> = (0..1 + next(4)).map(|_| NodeId::from(next(n))).collect();
+            for layers in 1..=5 {
+                let rows = LayerRows::new(&csr, &roots, layers);
+                assert_eq!(
+                    rows.nodes,
+                    k_hop_row_sets(&csr, &roots, layers),
+                    "depth {layers}"
+                );
+                for (l, set) in rows.nodes.iter().enumerate() {
+                    let mut at = vec![NOT_A_MEMBER; n];
+                    for (i, &v) in set.iter().enumerate() {
+                        at[v as usize] = i as u32;
+                    }
+                    assert_eq!(rows.pos[l], at, "position map of layer {l}");
+                    let gather: Vec<usize> = match l {
+                        0 => set.iter().map(|&v| v as usize).collect(),
+                        _ => set
+                            .iter()
+                            .map(|&v| rows.pos[l - 1][v as usize] as usize)
+                            .collect(),
+                    };
+                    assert_eq!(rows.gather[l], gather, "gather of layer {l}");
+                }
+                for &r in &roots {
+                    assert_eq!(rows.nodes[layers - 1][rows.root_row(r)], r.0);
+                }
+            }
         }
     }
 }

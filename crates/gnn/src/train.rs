@@ -8,7 +8,7 @@
 //! all non-train labels hidden. Fine-tuning (a few epochs from the
 //! previous month's weights) drives the Fig. 8 retraining study.
 //!
-//! Every entry point builds its [`LayerRows`] once per call from its
+//! Every entry point builds its `LayerRows` once per call from its
 //! own roots (the supervised events, the validation events or the
 //! prediction targets), so each epoch and prediction computes only the
 //! rows its loss or answers read — bitwise the full-graph pass

@@ -1,54 +1,83 @@
-//! The k-hop ball around a root set, as a self-contained subgraph.
+//! The k-hop ball around a root set: the one extractor of a
+//! neighbourhood in the workspace.
 //!
 //! An L-layer mean-aggregation GraphSAGE reads nothing beyond the L-hop
 //! ball of the nodes it is asked about: every member closer than L hops
 //! keeps all of its neighbours, so its mean and its degree are the
-//! full graph's. [`Ball`] extracts that ball once — members in ascending
-//! global id, the induced CSR with every row in full-graph neighbour
-//! order — so a model run on it reproduces the full-graph pass at the
-//! roots bit for bit (DESIGN.md §10).
+//! full graph's. [`Ball`] lists that ball's members in ascending global
+//! id with their hops and a global→local table; [`Ball::induced`]
+//! builds the subgraph with every row in full-graph neighbour order, so
+//! a model run on it reproduces the full-graph pass at the roots bit
+//! for bit (DESIGN.md §10). The ego-nets of Fig. 3, the case study's
+//! neighbourhood counts and the SAGE and label-propagation row sets
+//! read the same ball.
 
 use crate::csr::Csr;
 use crate::ids::NodeId;
 
-use super::bfs::k_hop;
+/// Local id of a node outside the ball in its global→local table
+/// ([`Ball::into_parts`]).
+pub const NOT_A_MEMBER: u32 = u32::MAX;
 
-/// Local id of a node outside the ball in [`Ball`]'s lookup table.
-const NOT_A_MEMBER: u32 = u32::MAX;
-
-/// Every node within `k` hops of a root set and the edges among them.
+/// Every node within `k` hops of a root set.
 #[derive(Debug, Clone)]
 pub struct Ball {
     members: Vec<NodeId>,
     hops: Vec<u32>,
-    csr: Csr,
     /// Global id → local id, [`NOT_A_MEMBER`] outside the ball.
     local: Vec<u32>,
 }
 
 impl Ball {
-    /// Extract the `k`-hop ball of `roots` from `csr`. Duplicate roots
-    /// count once; no roots give an empty ball.
+    /// The `k`-hop ball of `roots` in `csr`. Duplicate roots count
+    /// once; no roots give an empty ball.
+    ///
+    /// One BFS keeps each visited node's hop in the global→local table
+    /// itself, so the table is the only graph-sized allocation; one
+    /// scan of it then lists the members in ascending id and turns
+    /// their hops into local ids.
     pub fn new(csr: &Csr, roots: &[NodeId], k: u32) -> Self {
-        let mut hood = k_hop(csr, roots, k);
-        hood.sort_unstable_by_key(|&(id, _)| id);
+        let _span = trail_obs::span("graph.ball");
         let mut local = vec![NOT_A_MEMBER; csr.node_count()];
-        for (i, &(id, _)) in hood.iter().enumerate() {
-            local[id.index()] = i as u32;
+        let mut queue: Vec<NodeId> = Vec::new();
+        for &r in roots {
+            if local[r.index()] == NOT_A_MEMBER {
+                local[r.index()] = 0;
+                queue.push(r);
+            }
         }
-        let members: Vec<NodeId> = hood.iter().map(|&(id, _)| id).collect();
-        let hops = hood.iter().map(|&(_, hop)| hop).collect();
-        let induced = csr.induced(&members, &local);
+        // Hops never decrease along the queue.
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            let hop = local[u.index()];
+            if hop == k {
+                break;
+            }
+            head += 1;
+            for &v in csr.neighbors(u) {
+                if local[v.index()] == NOT_A_MEMBER {
+                    local[v.index()] = hop + 1;
+                    queue.push(v);
+                }
+            }
+        }
+        let mut members = Vec::with_capacity(queue.len());
+        let mut hops = Vec::with_capacity(queue.len());
+        for (v, slot) in local.iter_mut().enumerate() {
+            if *slot != NOT_A_MEMBER {
+                hops.push(*slot);
+                *slot = members.len() as u32;
+                members.push(NodeId::from(v));
+            }
+        }
         Self {
             members,
             hops,
-            csr: induced,
             local,
         }
     }
 
-    /// Members in ascending global id; member `i` is local node `i` of
-    /// [`Self::csr`].
+    /// Members in ascending global id; member `i` is local node `i`.
     pub fn members(&self) -> &[NodeId] {
         &self.members
     }
@@ -58,9 +87,18 @@ impl Ball {
         &self.hops
     }
 
-    /// The induced subgraph over local ids (see [`Csr::induced`]).
-    pub fn csr(&self) -> &Csr {
-        &self.csr
+    /// Take the ball apart into its members, their hops and its
+    /// global→local table (one entry per node of the graph the ball was
+    /// taken from).
+    pub fn into_parts(self) -> (Vec<NodeId>, Vec<u32>, Vec<u32>) {
+        (self.members, self.hops, self.local)
+    }
+
+    /// The subgraph the members induce in `csr` (the graph the ball was
+    /// taken from), over local ids: each member's row in full-graph
+    /// neighbour order with non-members dropped (see [`Csr::induced`]).
+    pub fn induced(&self, csr: &Csr) -> Csr {
+        csr.induced(&self.members, &self.local)
     }
 
     /// Number of members.
@@ -141,7 +179,8 @@ mod tests {
             "members not ascending"
         );
         assert_eq!(ball.hops.len(), ball.len());
-        assert_eq!(ball.csr.node_count(), ball.len());
+        let sub = ball.induced(csr);
+        assert_eq!(sub.node_count(), ball.len());
 
         let dist = nearest_root(csr, roots);
         let expected: Vec<NodeId> = (0..csr.node_count())
@@ -154,7 +193,7 @@ mod tests {
             assert!(hop <= k);
             assert_eq!(ball.local(g), Some(NodeId::from(i)));
             let local_row: Vec<(NodeId, EdgeKind)> =
-                ball.csr.neighbors_with_kinds(NodeId::from(i)).collect();
+                sub.neighbors_with_kinds(NodeId::from(i)).collect();
             let mapped: Vec<(NodeId, EdgeKind)> = csr
                 .neighbors_with_kinds(g)
                 .filter_map(|(v, kind)| ball.local(v).map(|l| (l, kind)))
@@ -165,7 +204,7 @@ mod tests {
             );
             if hop < k {
                 assert_eq!(
-                    ball.csr.degree(NodeId::from(i)),
+                    sub.degree(NodeId::from(i)),
                     csr.degree(g),
                     "interior row lost edges"
                 );
@@ -179,9 +218,9 @@ mod tests {
         // Symmetric: u lists v exactly as often as v lists u.
         for u in 0..ball.len() {
             let u = NodeId::from(u);
-            for &v in ball.csr.neighbors(u) {
-                let uv = ball.csr.neighbors(u).iter().filter(|&&w| w == v).count();
-                let vu = ball.csr.neighbors(v).iter().filter(|&&w| w == u).count();
+            for &v in sub.neighbors(u) {
+                let uv = sub.neighbors(u).iter().filter(|&&w| w == v).count();
+                let vu = sub.neighbors(v).iter().filter(|&&w| w == u).count();
                 assert_eq!(uv, vu, "induced CSR is not symmetric at {u:?}-{v:?}");
             }
         }
@@ -218,7 +257,7 @@ mod tests {
         let twice = Ball::new(&csr, &[NodeId(9), NodeId(2), NodeId(2), NodeId(9)], 2);
         assert_eq!(once.members, twice.members);
         assert_eq!(once.hops, twice.hops);
-        assert_eq!(once.csr, twice.csr);
+        assert_eq!(once.induced(&csr), twice.induced(&csr));
         check(&csr, &[NodeId(9), NodeId(2), NodeId(2)], 2);
     }
 
@@ -227,8 +266,9 @@ mod tests {
         let csr = random_csr(7, 10, 15);
         let ball = Ball::new(&csr, &[], 3);
         assert!(ball.is_empty());
-        assert_eq!(ball.csr.node_count(), 0);
-        assert_eq!(ball.csr.half_edge_count(), 0);
+        let sub = ball.induced(&csr);
+        assert_eq!(sub.node_count(), 0);
+        assert_eq!(sub.half_edge_count(), 0);
         assert_eq!(ball.local(NodeId(0)), None);
     }
 
@@ -239,16 +279,53 @@ mod tests {
         let e = |a: u32, b: u32| (NodeId(a), NodeId(b), EdgeKind::InReport);
         let csr = Csr::from_edge_list(5, &[e(0, 3), e(1, 0), e(0, 2), e(3, 4)]);
         let ball = Ball::new(&csr, &[NodeId(0)], 1);
+        let sub = ball.induced(&csr);
         assert_eq!(
             ball.members,
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
         );
-        assert_eq!(
-            ball.csr.neighbors(NodeId(0)),
-            &[NodeId(3), NodeId(1), NodeId(2)]
-        );
+        assert_eq!(sub.neighbors(NodeId(0)), &[NodeId(3), NodeId(1), NodeId(2)]);
         // Node 3 sits on the rim: its edge to 4 leaves the ball.
-        assert_eq!(ball.csr.neighbors(NodeId(3)), &[NodeId(0)]);
+        assert_eq!(sub.neighbors(NodeId(3)), &[NodeId(0)]);
         assert_eq!(ball.local(NodeId(4)), None);
+    }
+
+    /// Fig. 3's ego-net read through the ball: per-kind member counts
+    /// at radius 1 and 2, and the induced subgraph keeps the
+    /// alter–alter edge.
+    #[test]
+    fn egonet_counts_and_induced_edges() {
+        use crate::schema::NodeKind;
+        use crate::store::GraphStore;
+
+        let mut g = GraphStore::new();
+        let e = g.upsert_node(NodeKind::Event, "e");
+        let ip = g.upsert_node(NodeKind::Ip, "1.1.1.1");
+        let d = g.upsert_node(NodeKind::Domain, "a.example");
+        let d_far = g.upsert_node(NodeKind::Domain, "far.example");
+        g.add_edge(e, ip, EdgeKind::InReport).unwrap();
+        g.add_edge(e, d, EdgeKind::InReport).unwrap();
+        g.add_edge(ip, d, EdgeKind::ARecord).unwrap(); // alter-alter edge
+        g.add_edge(ip, d_far, EdgeKind::ARecord).unwrap(); // 2 hops from ego
+        let csr = Csr::from_store(&g);
+        let of_kind = |ball: &Ball, kind: NodeKind| {
+            ball.members()
+                .iter()
+                .filter(|&&id| g.node(id).kind == kind)
+                .count()
+        };
+
+        let net1 = Ball::new(&csr, &[e], 1);
+        assert_eq!(net1.len(), 3);
+        // The induced subgraph keeps the alter-alter A-record edge:
+        // three edges, two half-edges each.
+        assert_eq!(net1.induced(&csr).half_edge_count(), 2 * 3);
+        assert_eq!(of_kind(&net1, NodeKind::Ip), 1);
+        assert_eq!(of_kind(&net1, NodeKind::Domain), 1);
+
+        let net2 = Ball::new(&csr, &[e], 2);
+        assert_eq!(net2.len(), 4);
+        assert_eq!(net2.induced(&csr).half_edge_count(), 2 * 4);
+        assert_eq!(of_kind(&net2, NodeKind::Domain), 2);
     }
 }

@@ -30,8 +30,9 @@ pub fn bfs_distances(csr: &Csr, source: NodeId) -> Vec<u32> {
 }
 
 /// All nodes within `k` hops of any root (roots included at distance 0).
-/// Returns `(node, distance)` pairs in BFS order. This is the paper's
-/// "k-hop neighbourhood of the event" used as GNN input.
+/// Returns `(node, distance)` pairs in BFS order. The library reads
+/// neighbourhoods through [`Ball`](super::Ball); this listing is the
+/// independent reference the tests hold it to.
 pub fn k_hop(csr: &Csr, roots: &[NodeId], k: u32) -> Vec<(NodeId, u32)> {
     let _span = trail_obs::span("graph.k_hop");
     let mut dist = vec![UNREACHABLE; csr.node_count()];

@@ -3,7 +3,7 @@
 //! per-request observability.
 //!
 //! Concurrency model: every installed bundle lives inside a
-//! [`Generation`] — the bundle `Arc`, a replica pool instantiated
+//! `Generation` — the bundle `Arc`, a replica pool instantiated
 //! *from that bundle*, and a per-generation completion counter. The
 //! runtime holds the current generation behind a `Mutex<Arc<..>>`
 //! slot (std-only arc-swap: lock, clone, unlock — the lock is held

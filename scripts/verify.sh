@@ -14,7 +14,8 @@
 # tests/hot_swap_test.rs, the stream == batch suite and the
 # zero-allocation / study-oracle tests included), then runs the
 # `#[ignore]`d tests only, and the quickstart and explain_attribution
-# examples.
+# examples; clippy, rustfmt and rustdoc (a broken intra-doc link, such
+# as a public doc naming a private item, fails it) must be clean.
 #
 # The chaos tier adds what no test covers: `repro --resume` must
 # reject two corrupted checkpoints with a typed error, never a panic —
@@ -80,6 +81,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustfmt =="
 cargo fmt --all -- --check
+
+echo "== rustdoc =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [ "$run_chaos" -eq 1 ]; then
   echo "== chaos tier: corrupted-snapshot resume smokes =="

@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 use trail::system::TrailSystem;
 use trail_graph::algo::bfs::UNREACHABLE;
-use trail_graph::algo::{
-    bfs_distances, connected_components, diameter_double_sweep, ego_net, k_hop,
-};
+use trail_graph::algo::{bfs_distances, connected_components, diameter_double_sweep, k_hop, Ball};
 use trail_graph::{NodeId, WideCsr};
 use trail_osint::{OsintClient, World, WorldConfig};
 
@@ -138,13 +136,18 @@ fn k_hop_and_ego_net_match_a_wide_reference() {
         got.sort_unstable();
         assert_eq!(got, expect, "radius {radius}");
 
-        let net = ego_net(&sys.tkg.graph, &csr, ego, radius);
-        let mut net_members: Vec<(usize, u32)> =
-            net.members.iter().map(|&(id, d)| (id.index(), d)).collect();
-        net_members.sort_unstable();
+        // The ego-net is the ball: ascending members with their hops.
+        let net = Ball::new(&csr, &[ego], radius);
+        let net_members: Vec<(usize, u32)> = net
+            .members()
+            .iter()
+            .zip(net.hops())
+            .map(|(id, &d)| (id.index(), d))
+            .collect();
         assert_eq!(net_members, expect, "ego-net radius {radius}");
-        // Every induced edge really has both endpoints in the net, and
-        // the count matches an independent scan of the store.
+        // The induced subgraph holds two half-edges per stored edge
+        // with both endpoints in the net, counted by an independent
+        // scan of the store.
         let in_net: std::collections::HashSet<usize> = expect.iter().map(|&(i, _)| i).collect();
         let expected_edges = sys
             .tkg
@@ -154,8 +157,8 @@ fn k_hop_and_ego_net_match_a_wide_reference() {
             .filter(|e| in_net.contains(&e.src.index()) && in_net.contains(&e.dst.index()))
             .count();
         assert_eq!(
-            net.edges.len(),
-            expected_edges,
+            net.induced(&csr).half_edge_count(),
+            2 * expected_edges,
             "induced edges radius {radius}"
         );
     }

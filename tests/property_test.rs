@@ -474,7 +474,7 @@ proptest! {
         depth in 1usize..4,
         seed in 0u64..10_000,
     ) {
-        // `k_hop` and the SAGE epochs record spans.
+        // The ball and the SAGE epochs record spans.
         let _g = obs_lock();
         let csr = lemma_graph(n, &edges);
         let roots: Vec<NodeId> = roots.iter().map(|&r| NodeId::from(r % n)).collect();
@@ -487,6 +487,7 @@ proptest! {
         let mut local = SageModel::new(&mut StdRng::seed_from_u64(seed), cfg);
 
         let ball = Ball::new(&csr, &roots, depth as u32);
+        let sub = ball.induced(&csr);
         let rows: Vec<usize> = ball.members().iter().map(|m| m.index()).collect();
         let mut x_ball = x.gather_rows(&rows);
         let train: Vec<(NodeId, u16)> = roots.iter().map(|&r| (r, lemma_label(r))).collect();
@@ -495,11 +496,11 @@ proptest! {
 
         prop_assert_eq!(
             pred_bits(predict_events(&mut full, &csr, &x, &roots)),
-            pred_bits(predict_events(&mut local, ball.csr(), &x_ball, &roots_ball)),
+            pred_bits(predict_events(&mut local, &sub, &x_ball, &roots_ball)),
             "predict_events differs at depth {}", depth
         );
         let q_full = full.forward_quantized(&csr, &x);
-        let q_ball = local.forward_quantized(ball.csr(), &x_ball);
+        let q_ball = local.forward_quantized(&sub, &x_ball);
         for (&g, &l) in roots.iter().zip(&roots_ball) {
             prop_assert_eq!(
                 f32_bits(q_full.row(g.index())),
@@ -513,7 +514,7 @@ proptest! {
         let loss_full =
             fine_tune_masked(&mut StdRng::seed_from_u64(!seed), &mut full, &csr, &mut x, &train, &ft, masking);
         let loss_ball = fine_tune_masked(
-            &mut StdRng::seed_from_u64(!seed), &mut local, ball.csr(), &mut x_ball, &train_ball, &ft, masking,
+            &mut StdRng::seed_from_u64(!seed), &mut local, &sub, &mut x_ball, &train_ball, &ft, masking,
         );
         prop_assert_eq!(f32_bits(&loss_full), f32_bits(&loss_ball), "fine-tune losses differ at depth {}", depth);
         prop_assert_eq!(weight_bits(&full), weight_bits(&local), "fine-tuned weights differ at depth {}", depth);
@@ -532,7 +533,7 @@ proptest! {
         depth in 1usize..4,
         seed in 0u64..10_000,
     ) {
-        // `k_hop` and the forwards record into the registry.
+        // The ball and the forwards record into the registry.
         let _g = obs_lock();
         let csr = lemma_graph(n, &edges);
         let roots: Vec<NodeId> = roots.iter().map(|&r| NodeId::from(r % n)).collect();
@@ -548,10 +549,11 @@ proptest! {
         prop_assert_eq!(f32_bits(plain.as_slice()), f32_bits(weighted.as_slice()), "full graph, depth {}", depth);
 
         let ball = Ball::new(&csr, &roots, depth as u32);
+        let sub = ball.induced(&csr);
         let x_ball = x.gather_rows(&ball.members().iter().map(|m| m.index()).collect::<Vec<_>>());
         let roots_ball: Vec<NodeId> = roots.iter().map(|&r| ball.local(r).expect("root in its ball")).collect();
-        let ones = vec![1.0f32; ball.csr().half_edge_count()];
-        let on_ball = model.logits_at(ball.csr(), &x_ball, &roots_ball, Some(&ones));
+        let ones = vec![1.0f32; sub.half_edge_count()];
+        let on_ball = model.logits_at(&sub, &x_ball, &roots_ball, Some(&ones));
         prop_assert_eq!(f32_bits(plain.as_slice()), f32_bits(on_ball.as_slice()), "ball, depth {}", depth);
     }
 
@@ -571,7 +573,8 @@ proptest! {
         patience in 1usize..4,
         seed in 0u64..10_000,
     ) {
-        // `k_hop`, the epochs and the forwards record into the registry.
+        // The row sets' balls, the epochs and the forwards record into
+        // the registry.
         let _g = obs_lock();
         let csr = lemma_graph(n, &edges);
         let pair = |&r: &usize| (NodeId::from(r % n), lemma_label(NodeId::from(r % n)));
