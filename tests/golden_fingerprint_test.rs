@@ -8,24 +8,108 @@
 //! alters the constructed graph trips this test *before* it surfaces
 //! as an accuracy drift in the paper tables.
 //!
+//! A second set of constants pins the enrichment output bit for bit:
+//! an FNV-1a hash of the graph snapshot (`persist::to_bytes`, which
+//! sees node and edge order), a hash over the stored feature rows in
+//! write order, and the full [`IngestStats`] taxonomy — once on the
+//! fixture as it is, and once with transient faults injected (the fault
+//! schedule is a hash of key and attempt, so no RNG is involved).
+//!
 //! If a change intentionally reshapes the graph (new edge kinds, a
 //! deeper enrichment pass), re-derive the constants from the printed
 //! values in the assertion message and say why in the commit.
 
 use std::sync::Arc;
 
+use trail::enrich::IngestStats;
 use trail::system::TrailSystem;
-use trail_ioc::fnv1a;
+use trail_ioc::{fnv1a, Fnv1a};
 use trail_osint::{OsintClient, World};
 
 const GOLDEN_NODES: usize = 22;
 const GOLDEN_EDGES: usize = 43;
 const GOLDEN_DEGREE_HASH: u64 = 0x1dd0_c32f_a8d2_9157;
 
+/// Enrichment output of the fixture build: graph snapshot hash,
+/// feature-row hash and the ingest taxonomy.
+struct Enriched {
+    graph_hash: u64,
+    feature_hash: u64,
+    stats: IngestStats,
+}
+
+const CLEAN: Enriched = Enriched {
+    graph_hash: 0x7fd1_8b23_ca82_7128,
+    feature_hash: 0x3eae_3e36_33c4_3ae3,
+    stats: IngestStats {
+        first_order: 17,
+        secondary: 3,
+        edges: 43,
+        linked: 4,
+        missed_permanent: 1,
+        missed_transient: 0,
+        retried: 0,
+        breaker_rejected: 0,
+        dropped_unparseable: 0,
+        backoff_ms: 0,
+    },
+};
+
+/// Faults only add retries: every faulted query recovers within the
+/// default three attempts, so the graph and features equal `CLEAN`'s.
+const FAULTY: Enriched = Enriched {
+    graph_hash: 0x7fd1_8b23_ca82_7128,
+    feature_hash: 0x3eae_3e36_33c4_3ae3,
+    stats: IngestStats {
+        first_order: 17,
+        secondary: 3,
+        edges: 43,
+        linked: 4,
+        missed_permanent: 1,
+        missed_transient: 0,
+        retried: 4,
+        breaker_rejected: 0,
+        dropped_unparseable: 0,
+        backoff_ms: 250,
+    },
+};
+
 fn build() -> TrailSystem {
-    let client = OsintClient::new(Arc::new(World::fixture()));
+    build_with_faults(0.0)
+}
+
+fn build_with_faults(transient_fault_prob: f32) -> TrailSystem {
+    let mut world = World::fixture();
+    world.config.transient_fault_prob = transient_fault_prob;
+    let client = OsintClient::new(Arc::new(world));
     let cutoff = client.world().config.cutoff_day;
     TrailSystem::build(client, cutoff)
+}
+
+fn enriched(sys: &TrailSystem) -> Enriched {
+    let mut features = Fnv1a::new();
+    for (node, row) in sys.tkg.features_since(0) {
+        features.write(&(node.index() as u64).to_le_bytes());
+        features.write(&row.fingerprint().to_le_bytes());
+    }
+    Enriched {
+        graph_hash: fnv1a(&trail_graph::persist::to_bytes(&sys.tkg.graph)),
+        feature_hash: features.finish(),
+        stats: sys.ingest_stats.clone(),
+    }
+}
+
+fn assert_enriched(transient_fault_prob: f32, want: &Enriched) {
+    let got = enriched(&build_with_faults(transient_fault_prob));
+    assert_eq!(
+        (got.graph_hash, got.feature_hash, &got.stats),
+        (want.graph_hash, want.feature_hash, &want.stats),
+        "enrichment drifted at transient_fault_prob={transient_fault_prob}: \
+         graph_hash={:#018x} feature_hash={:#018x} stats={:?}",
+        got.graph_hash,
+        got.feature_hash,
+        got.stats
+    );
 }
 
 fn fingerprint(sys: &TrailSystem) -> (usize, usize, u64) {
@@ -58,6 +142,16 @@ fn fixture_tkg_matches_committed_fingerprint() {
         "TKG fingerprint drifted: nodes={nodes} edges={edges} degree_hash={degree_hash:#018x} \
          (committed: nodes={GOLDEN_NODES} edges={GOLDEN_EDGES} hash={GOLDEN_DEGREE_HASH:#018x})"
     );
+}
+
+#[test]
+fn fixture_enrichment_matches_committed_bits() {
+    assert_enriched(0.0, &CLEAN);
+}
+
+#[test]
+fn faulty_fixture_enrichment_matches_committed_bits() {
+    assert_enriched(0.3, &FAULTY);
 }
 
 #[test]
