@@ -13,9 +13,10 @@
 //! 1. **Phase A (parallel).** Events are assigned to shards by an
 //!    FNV-1a hash of their report id. Each shard worker replays *its
 //!    own* events against a scratch TKG in recording mode, memoising
-//!    one [`QueryRecord`](crate::enrich) per canonical key it queries.
-//!    The scratch graph is discarded; only the per-shard query map
-//!    survives.
+//!    one `QueryRecord` per canonical key it queries, whatever the
+//!    key's IOC kind (one query, record and apply serve every kind; see
+//!    [`crate::enrich`]). The scratch graph is discarded; only the
+//!    per-shard query map survives.
 //! 2. **Phase B (sequential merge).** A fresh TKG ingests *all* events
 //!    in the original canonical order, serving every analysis from the
 //!    owning shard's map through the same apply code the sequential

@@ -600,11 +600,6 @@ impl DurableStream {
     pub fn wal(&self) -> &Wal {
         &self.wal
     }
-
-    /// Unwrap, keeping the runtime and dropping the log handle.
-    pub fn into_runtime(self) -> StreamRuntime {
-        self.rt
-    }
 }
 
 #[cfg(test)]

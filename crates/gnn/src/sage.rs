@@ -1134,16 +1134,6 @@ impl SageModel {
         }
         h.clone()
     }
-
-    /// Per-node class probabilities over the quantized forward.
-    pub fn predict_proba_quantized(&mut self, csr: &Csr, x: &Matrix) -> Matrix {
-        let mut logits = self.forward_quantized(csr, x);
-        let k = self.cfg.n_classes;
-        for row in logits.as_mut_slice().chunks_exact_mut(k) {
-            trail_linalg::vector::softmax_inplace(row);
-        }
-        logits
-    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,18 @@
 pub const DNS_RECORD_TYPES: [&str; 9] =
     ["A", "AAAA", "CNAME", "MX", "NS", "TXT", "SOA", "PTR", "SRV"];
 
+/// The analysis of one IOC, whichever its kind: what one OSINT query
+/// returns.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Analysis {
+    /// A URL's analysis.
+    Url(UrlAnalysis),
+    /// A domain's analysis.
+    Domain(DomainAnalysis),
+    /// An IP's analysis.
+    Ip(IpAnalysis),
+}
+
 /// Result of analysing a URL (cached cURL response + lookups).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UrlAnalysis {

@@ -28,7 +28,7 @@ pub mod types;
 pub mod url;
 pub mod vocab;
 
-pub use analysis::{DomainAnalysis, IpAnalysis, UrlAnalysis};
+pub use analysis::{Analysis, DomainAnalysis, IpAnalysis, UrlAnalysis};
 pub use hash::{fnv1a, Fnv1a};
 pub use key::{IocKey, IocKeyRef};
 pub use types::{Ioc, IocKind};

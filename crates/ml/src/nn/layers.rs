@@ -28,11 +28,6 @@ impl Param {
             v: Matrix::zeros(r, c),
         }
     }
-
-    /// Zero the gradient accumulator.
-    pub fn zero_grad(&mut self) {
-        self.grad.as_mut_slice().fill(0.0);
-    }
 }
 
 /// A differentiable layer.

@@ -153,11 +153,6 @@ impl World {
         Generator::new(config).run()
     }
 
-    /// APT class names in label order.
-    pub fn apt_names(&self) -> Vec<&str> {
-        self.profiles.iter().map(|p| p.name.as_str()).collect()
-    }
-
     /// Resolve a feed tag (canonical name or alias, case-insensitive)
     /// to an APT index.
     pub fn apt_index(&self, tag: &str) -> Option<usize> {

@@ -19,7 +19,7 @@ use trail::collector::{collect, AptRegistry};
 use trail::enrich::{Enricher, IngestStats, RetryPolicy};
 use trail::system::TrailSystem;
 use trail::tkg::Tkg;
-use trail_ioc::{Ioc, IocKey, IocKind};
+use trail_ioc::{Analysis, Ioc, IocKey, IocKind};
 use trail_osint::{OsintClient, World, WorldConfig};
 
 fn system_with(seed: u64, tweak: impl FnOnce(&mut WorldConfig)) -> TrailSystem {
@@ -136,7 +136,10 @@ fn noisy_client_actually_emits_noncanonical_text() {
         let parsed = report.parse();
         for ioc in &parsed.iocs {
             if let Ioc::Domain(d) = ioc {
-                if let Some(a) = client.analyze_domain(&d.text, day) {
+                let analysis = client
+                    .try_analyze(IocKind::Domain, &d.text, day, 0)
+                    .expect("no faults at p=0 and no breaker");
+                if let Some(Analysis::Domain(a)) = analysis {
                     for ip in &a.resolved_ips {
                         total += 1;
                         if IocKey::parse(IocKind::Ip, ip)
