@@ -23,6 +23,13 @@ use trail_ml::nn::autoencoder::AutoencoderConfig;
 use trail_osint::{BreakerConfig, CircuitBreaker, OsintClient, World, WorldConfig};
 use trail_serve::{loadgen, LoadMix, QueryLimits, RuntimeConfig, ServeBundle, ServeRuntime};
 
+/// `loadgen::fingerprint` of the concurrent test's 1-thread responses:
+/// every ranking of the seeded mix, bit for bit. The world and the
+/// model are drawn through the in-repo `rand` stand-in (xoshiro256++
+/// seeded through splitmix64), so these are that generator's bits.
+/// Re-pin only for a change that means to move rankings.
+const SERVE_FINGERPRINT: u64 = 0x82b6_c815_01b8_d221;
+
 fn build(seed: u64) -> TrailSystem {
     let client = OsintClient::new(Arc::new(World::generate(WorldConfig::tiny(seed))));
     let cutoff = client.world().config.cutoff_day;
@@ -190,4 +197,11 @@ fn concurrent_serving_is_deterministic_and_counters_reconcile() {
     assert!(drill.completed > 0, "breaker must recover and serve again");
     assert_eq!(drill.issued, drill.admitted + drill.rejected);
     assert_eq!(drill.admitted, drill.completed + drill.failed);
+
+    // Last, so that moved rankings still show every check above held.
+    assert_eq!(
+        single.fingerprint, SERVE_FINGERPRINT,
+        "rankings moved: {:#018x}",
+        single.fingerprint
+    );
 }

@@ -44,6 +44,13 @@ use trail_osint::{ChaosPlan, OsintClient, World, WorldConfig, DAYS_PER_MONTH};
 const WORLD_SEED: u64 = 123;
 const RNG_SEED: u64 = 7;
 
+/// The whole-batch baseline's TKG fingerprint, model fingerprint and
+/// tick count. The world and the models are drawn through the in-repo
+/// `rand` stand-in (xoshiro256++ seeded through splitmix64), so these
+/// are that generator's bits. Re-pin only for a change that means to
+/// move the graph or the model.
+const WHOLE_BATCH_BITS: (u64, u64, usize) = (0x7d2f_72f5_78a5_5e6f, 0x462c_98ea_bf5e_bbb7, 3);
+
 fn tiny_client(world_seed: u64) -> OsintClient {
     OsintClient::new(Arc::new(World::generate(WorldConfig::tiny(world_seed))))
 }
@@ -146,7 +153,11 @@ fn whole_batch_baseline() -> &'static (u64, u64, usize) {
 /// produces a TKG, model state, tick series and ledger bitwise-equal
 /// to pushing the whole schedule as one batch — with an automatic
 /// every-5-events tick cadence, so several delta-merge/fine-tune
-/// cycles happen mid-stream.
+/// cycles happen mid-stream. One more input has no cadence: events
+/// are pushed one at a time and `tick()` is called by hand every 5
+/// pending events, which must fire the same ticks as the automatic
+/// trigger. Last, the whole-batch baseline is held to
+/// `WHOLE_BATCH_BITS`.
 #[test]
 fn stream_equals_batch_at_micro_batch_sizes_1_7_64() {
     let _g = obs_lock();
@@ -158,31 +169,47 @@ fn stream_equals_batch_at_micro_batch_sizes_1_7_64() {
     base.push_batch(&schedule);
     base.finish();
 
-    for k in [1usize, 7, 64] {
+    for k in [Some(1usize), Some(7), Some(64), None] {
+        let tick_every = k.map(|_| 5);
         let (mut rt, schedule_k, _) =
-            runtime_and_schedule(tiny_client(WORLD_SEED), Some(5), u64::MAX);
+            runtime_and_schedule(tiny_client(WORLD_SEED), tick_every, u64::MAX);
         assert_eq!(
             schedule_k, schedule,
             "same world must emit the same schedule"
         );
-        run_partitioned(&mut rt, &schedule_k, &[k]);
+        match k {
+            Some(k) => run_partitioned(&mut rt, &schedule_k, &[k]),
+            None => {
+                for r in &schedule_k {
+                    rt.push(r);
+                    if rt.pending_events() >= 5 {
+                        rt.tick();
+                    }
+                }
+                rt.finish();
+            }
+        }
+        let k = k.map_or_else(
+            || "manual ticks".to_owned(),
+            |k| format!("micro-batch size {k}"),
+        );
 
         assert_eq!(
             rt.tkg_fingerprint(),
             base.tkg_fingerprint(),
-            "TKG fingerprint diverged at micro-batch size {k}"
+            "TKG fingerprint diverged at {k}"
         );
         assert_eq!(
             rt.model_fingerprint(),
             base.model_fingerprint(),
-            "model state diverged at micro-batch size {k}"
+            "model state diverged at {k}"
         );
         assert_eq!(
             rt.tick_reports(),
             base.tick_reports(),
-            "tick series diverged at size {k}"
+            "tick series diverged at {k}"
         );
-        assert_eq!(rt.ledger(), base.ledger(), "ledger diverged at size {k}");
+        assert_eq!(rt.ledger(), base.ledger(), "ledger diverged at {k}");
         assert_eq!(rt.collect_stats(), base.collect_stats());
         assert_eq!(rt.ingest_stats(), base.ingest_stats());
         // CSR bytes, not just fingerprints: the frozen delta-merged CSR
@@ -190,14 +217,21 @@ fn stream_equals_batch_at_micro_batch_sizes_1_7_64() {
         assert_eq!(
             rt.frozen_csr(),
             base.frozen_csr(),
-            "frozen CSR diverged at size {k}"
+            "frozen CSR diverged at {k}"
         );
         assert_eq!(
             *rt.frozen_csr(),
             rt.system().tkg.csr(),
-            "delta-merged CSR differs from a full rebuild at size {k}"
+            "delta-merged CSR differs from a full rebuild at {k}"
         );
     }
+    // Last, so that moved bits still show every comparison above held.
+    let bits = *whole_batch_baseline();
+    assert_eq!(
+        bits, WHOLE_BATCH_BITS,
+        "whole-batch bits moved: ({:#018x}, {:#018x}, {})",
+        bits.0, bits.1, bits.2
+    );
 }
 
 /// The streamed TKG equals the batch system path: driving
