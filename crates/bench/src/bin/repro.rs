@@ -6,8 +6,7 @@
 //!
 //! experiments:
 //!   table2  table3  table4  fig3  fig4  fig7  fig8  fig9  fig10
-//!   sec5    case    chaos   quant   serve-bench   stream-bench
-//!   scale-bench   all
+//!   sec5    case    chaos   ablations   quant   scale-bench   all
 //! ```
 //!
 //! `scale-bench` exercises the paper-scale ingest path: one world is
@@ -21,30 +20,15 @@
 //! not >=40% smaller than the wide one, or a machine with >=8 cores
 //! shows less than a 2x 8-thread speedup (see DESIGN.md §15).
 //!
-//! `quant` (or `--quant`) trains one Table-IV fold and compares f32
-//! inference against the i8-quantized forward path: max-abs logit
-//! error, argmax agreement and test accuracy on the held-out events,
-//! and min-of-N per-forward wall clock, all recorded under the `quant`
-//! taxonomy in `BENCH_repro.json`.
+//! `quant` trains one Table-IV fold and compares f32 inference against
+//! the i8-quantized forward path: max-abs logit error, argmax
+//! agreement and test accuracy on the held-out events, and min-of-N
+//! per-forward wall clock, all recorded under the `quant` taxonomy in
+//! `BENCH_repro.json`.
 //!
-//! `serve-bench` trains on every event, freezes the stack into a TSB1
-//! `ServeBundle`, and replays a seeded query mix at several worker-pool
-//! widths through the read-only serving runtime: p50/p99 latency and
-//! throughput per level land in `BENCH_serve.json`, and the run exits
-//! non-zero if rankings differ across concurrency levels or the
-//! request counters fail to reconcile (see DESIGN.md §12).
-//!
-//! `stream-bench` pushes every post-cutoff report through the
-//! streaming runtime one event at a time with roughly-monthly ticks,
-//! contrasts the amortized per-event cost against a full input rebuild
-//! per event, and re-runs the stream in micro-batches of 64 to check
-//! the two executions land on bitwise-identical TKG and model
-//! fingerprints. It also measures the TWL1 write-ahead-log append
-//! cost per fsync policy and proves the log scans back equal
-//! (`[wal-summary]`). The run report lands in `BENCH_stream.json`;
-//! the run exits non-zero on divergence, a ledger that fails to
-//! reconcile, a recovery mismatch, or an amortized per-event cost
-//! less than 10x below a full rebuild (see DESIGN.md §13–14).
+//! Serving and streaming are checked by tier-1 tests
+//! (`tests/serve_test.rs`, `tests/stream_equivalence_test.rs`) and
+//! timed by `perfbench/` (see DESIGN.md §12–13), not by `repro`.
 //!
 //! `--trace` pretty-prints the hierarchical span tree (plus counters
 //! and histograms) collected by `trail-obs` after the run. `--quick`
@@ -131,7 +115,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(usage);
             }
-            "--quant" => experiment = String::from("quant"),
             "--quick" => opts.quick = true,
             "--trace" => trace = true,
             flag if flag.starts_with("--") => usage(),
@@ -185,7 +168,7 @@ fn run(
     // competing ingest paths; a fault-injected world); dispatch them
     // before the default system build.
     match experiment {
-        "scale-bench" | "scale" => return trail_bench::scale_bench(opts, rec),
+        "scale-bench" => return trail_bench::scale_bench(opts, rec),
         "chaos" => return trail_bench::chaos(opts, chaos_seed.unwrap_or(opts.seed), rec),
         _ => {}
     }
@@ -228,8 +211,6 @@ fn run(
             trail_bench::fig10(&sys, opts, embeddings.as_ref().expect("built"))
         }),
         "quant" => trail_bench::quant(&sys, opts, embeddings.as_ref().expect("built"), rec),
-        "serve-bench" | "serve" => return trail_bench::serve_bench(&sys, opts, rec),
-        "stream-bench" | "stream" => return trail_bench::stream_bench(sys, opts, rec),
         "fig7" | "fig8" => {
             let t = std::time::Instant::now();
             let ok = match resume_dir {
@@ -274,8 +255,8 @@ fn run(
 
 fn usage<T>() -> T {
     eprintln!(
-        "usage: repro <table2|table3|table4|fig3|fig4|fig7|fig8|fig9|fig10|sec5|case|chaos|ablations|quant|serve-bench|stream-bench|scale-bench|all> \
-         [--scale S] [--seed N] [--folds K] [--faults P] [--resume DIR] [--chaos SEED] [--quant] [--quick] [--trace]"
+        "usage: repro <table2|table3|table4|fig3|fig4|fig7|fig8|fig9|fig10|sec5|case|chaos|ablations|quant|scale-bench|all> \
+         [--scale S] [--seed N] [--folds K] [--faults P] [--resume DIR] [--chaos SEED] [--quick] [--trace]"
     );
     std::process::exit(2);
 }

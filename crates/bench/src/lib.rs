@@ -1142,545 +1142,6 @@ pub fn quant(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &m
     );
 }
 
-/// `repro serve-bench` — attribution-as-a-service under load
-/// (DESIGN.md §12). Trains the full stack on every event (the Fig. 10
-/// protocol), freezes it into a TSB1 [`trail_serve::ServeBundle`],
-/// round-trips the bundle through disk, then replays one seeded query
-/// mix at several worker-pool widths. Each level's p50/p99/mean
-/// latency, throughput and outcome totals land in `BENCH_serve.json`;
-/// the run also proves two invariants and returns `false` (non-zero
-/// exit) if either breaks:
-///
-/// * **determinism** — the response fingerprint (every ranking, bit
-///   for bit) is identical at every concurrency level, of which at
-///   least two are measured; it is also written top-level as
-///   `fingerprint`, which `scripts/verify.sh --perf` pins;
-/// * **reconciliation** — `trail-obs` request counters match the load
-///   generator's issued/admitted/rejected/completed/failed totals
-///   exactly, including during the poison-query breaker drill.
-pub fn serve_bench(sys: &TrailSystem, opts: &RunOptions, rec: &mut BenchRecorder) -> bool {
-    use trail_osint::BreakerConfig;
-    use trail_serve::{loadgen, LoadMix, QueryLimits, RuntimeConfig, ServeBundle, ServeRuntime};
-
-    header(
-        "serve-bench",
-        "concurrent read-only attribution serving (TSB1 bundle)",
-    );
-    let mut rng = opts.rng();
-    let gnn_cfg = opts.gnn_settings();
-    let frozen = rec.time("serve_train_freeze", || {
-        trail::freeze::train_frozen(&mut rng, &sys.tkg, &opts.ae_settings(), &gnn_cfg, 2)
-    });
-    let bundle = rec.time("serve_bundle_freeze", || {
-        ServeBundle::freeze(&sys.tkg, &frozen).expect("freeze")
-    });
-
-    // Round-trip through disk so the benched bundle is the loaded one
-    // (exercising the full TSB1 decode + validation path).
-    let dir = std::env::temp_dir().join(format!("trail-serve-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("bundle.tsb");
-    rec.time("serve_bundle_save", || {
-        bundle.save(&path).expect("bundle save")
-    });
-    let bundle_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    let bundle = Arc::new(rec.time("serve_bundle_load", || {
-        ServeBundle::load(&path).expect("bundle load")
-    }));
-    std::fs::remove_dir_all(&dir).ok();
-    println!(
-        "[serve] bundle: {} nodes, {} events, {} classes, {} bytes on disk",
-        bundle.graph().node_count(),
-        bundle.events().len(),
-        bundle.n_classes(),
-        bundle_bytes
-    );
-
-    let levels: Vec<usize> = if opts.quick {
-        vec![1, 8]
-    } else {
-        vec![1, 4, 8]
-    };
-    let max_level = levels.iter().copied().max().unwrap_or(1);
-    let runtime = ServeRuntime::new(
-        Arc::clone(&bundle),
-        Arc::new(CircuitBreaker::new(BreakerConfig::default())),
-        RuntimeConfig {
-            replicas: max_level,
-            limits: QueryLimits::default(),
-        },
-    );
-
-    let mix = LoadMix {
-        queries: if opts.quick { 240 } else { 1000 },
-        iocs_per_query: 8,
-        unknown_fraction: 0.2,
-        poison_fraction: 0.0,
-        seed: opts.seed ^ 0x005e_12e5,
-    };
-    let queries = loadgen::generate(&runtime, &mix);
-
-    let mut ok = true;
-    let mut reports = Vec::new();
-    for &c in &levels {
-        let lvl = rec.time(&format!("serve_level_{c}"), || {
-            loadgen::run_level(&runtime, &queries, c)
-        });
-        println!(
-            "[serve] concurrency={} issued={} admitted={} rejected={} completed={} failed={} \
-             p50_us={} p99_us={} mean_us={} qps={:.1} fingerprint={:#018x}",
-            lvl.concurrency,
-            lvl.issued,
-            lvl.admitted,
-            lvl.rejected,
-            lvl.completed,
-            lvl.failed,
-            lvl.p50_us,
-            lvl.p99_us,
-            lvl.mean_us,
-            lvl.qps,
-            lvl.fingerprint
-        );
-        ok &= lvl.counters_reconciled && lvl.completed > 0;
-        reports.push(lvl);
-    }
-    let deterministic = reports
-        .windows(2)
-        .all(|w| w[0].fingerprint == w[1].fingerprint);
-    ok &= deterministic;
-
-    // Breaker drill: same bundle, hair-trigger breaker, poisoned mix.
-    // Totals vary with scheduling (admission is concurrent), but the
-    // counter tree must still reconcile exactly at full width.
-    let drill_rt = ServeRuntime::new(
-        Arc::clone(&bundle),
-        Arc::new(CircuitBreaker::new(BreakerConfig {
-            failure_threshold: 1,
-            cooldown_rejections: 4,
-            half_open_successes: 1,
-        })),
-        RuntimeConfig {
-            replicas: max_level,
-            limits: QueryLimits::default(),
-        },
-    );
-    let drill_mix = LoadMix {
-        queries: if opts.quick { 120 } else { 400 },
-        poison_fraction: 0.1,
-        seed: mix.seed ^ 1,
-        ..mix
-    };
-    let drill_queries = loadgen::generate(&drill_rt, &drill_mix);
-    let drill = rec.time("serve_breaker_drill", || {
-        loadgen::run_level(&drill_rt, &drill_queries, max_level)
-    });
-    println!(
-        "[serve] drill: issued={} admitted={} rejected={} completed={} failed={} reconciled={}",
-        drill.issued,
-        drill.admitted,
-        drill.rejected,
-        drill.completed,
-        drill.failed,
-        drill.counters_reconciled
-    );
-    ok &= drill.counters_reconciled && drill.failed > 0 && drill.rejected > 0;
-    if reports.len() < 2 {
-        eprintln!(
-            "[serve] FAIL: only {} concurrency level(s) measured",
-            reports.len()
-        );
-        ok = false;
-    }
-
-    let max_p99_us = reports.iter().map(|r| r.p99_us).max().unwrap_or(0);
-    let min_qps = reports.iter().map(|r| r.qps).fold(f64::INFINITY, f64::min);
-    println!(
-        "[serve-summary] levels={} deterministic={} reconciled={} max_p99_us={} min_qps={:.1}",
-        reports.len(),
-        u8::from(deterministic),
-        u8::from(reports.iter().all(|r| r.counters_reconciled) && drill.counters_reconciled),
-        max_p99_us,
-        min_qps
-    );
-
-    let level_json: Vec<serde_json::Value> = reports
-        .iter()
-        .map(|r| {
-            serde_json::json!({
-                "concurrency": r.concurrency,
-                "issued": r.issued,
-                "admitted": r.admitted,
-                "rejected": r.rejected,
-                "completed": r.completed,
-                "failed": r.failed,
-                "p50_us": r.p50_us,
-                "p99_us": r.p99_us,
-                "mean_us": r.mean_us,
-                "wall_seconds": r.wall_seconds,
-                "qps": r.qps,
-                "fingerprint": format!("{:#018x}", r.fingerprint),
-                "counters_reconciled": r.counters_reconciled,
-            })
-        })
-        .collect();
-    let drill_json = serde_json::json!({
-        "concurrency": drill.concurrency,
-        "issued": drill.issued,
-        "admitted": drill.admitted,
-        "rejected": drill.rejected,
-        "completed": drill.completed,
-        "failed": drill.failed,
-        "counters_reconciled": drill.counters_reconciled,
-    });
-    let doc = serde_json::json!({
-        "experiment": "serve-bench",
-        "seed": opts.seed,
-        "scale": opts.scale as f64,
-        "quick": opts.quick,
-        "threads": trail_linalg::pool::num_threads(),
-        "queries": mix.queries,
-        "iocs_per_query": mix.iocs_per_query,
-        "bundle_bytes": bundle_bytes,
-        "deterministic": deterministic,
-        "fingerprint": format!("{:#018x}", reports[0].fingerprint),
-        "max_p99_us": max_p99_us,
-        "min_qps": min_qps,
-        "levels": level_json,
-        "drill": drill_json,
-    });
-    match std::fs::write(
-        "BENCH_serve.json",
-        serde_json::to_string_pretty(&doc).expect("serve doc serialises"),
-    ) {
-        Ok(()) => println!("[serve] level reports written to BENCH_serve.json"),
-        Err(e) => {
-            eprintln!("[serve] could not write BENCH_serve.json: {e}");
-            ok = false;
-        }
-    }
-    ok
-}
-
-/// `repro stream-bench` — event-at-a-time TKG growth under a latency
-/// budget (DESIGN.md §13). Streams every post-cutoff report through a
-/// [`trail::stream::StreamRuntime`] one event at a time with a
-/// roughly-monthly tick cadence, then contrasts the amortized
-/// per-event cost of keeping the inputs current (push work plus the
-/// ticks' incremental sync: delta merge, dirty-row re-encode, matrix
-/// growth) against the cost a naive design would pay per event: one
-/// full input rebuild — CSR freeze, whole-graph code recompute, GNN
-/// input assembly — exactly the per-window preparation of the study's
-/// full-rebuild path. Per-tick model work (predictions, fine-tune) is
-/// timed and reported separately: both designs pay it per *tick*, so
-/// it does not belong in the per-event comparison. All numbers land in
-/// `BENCH_stream.json`.
-///
-/// The run also proves these invariants and returns `false` (non-zero
-/// exit) if any breaks:
-///
-/// * **equivalence** — a second runtime over an identical world,
-///   consuming the same reports in micro-batches of 64, ends with
-///   bitwise-identical TKG and model fingerprints and tick series;
-/// * **reconciliation** — the latency-budget ledger closes exactly:
-///   `issued == within_budget + exceeded == attributed + dropped`;
-/// * **durability** — the schedule written through the TWL1 WAL scans
-///   back equal under every fsync policy (`[wal-summary]
-///   recovered_equal`), and a torn tail truncates to exactly the
-///   durable prefix;
-/// * **amortized cost** — keeping the inputs current costs at most a
-///   tenth of a full rebuild per event (`ratio >= 10`).
-pub fn stream_bench(sys: TrailSystem, opts: &RunOptions, rec: &mut BenchRecorder) -> bool {
-    use trail::stream::{AsofPolicy, StreamConfig, StreamRuntime};
-    use trail_osint::DAYS_PER_MONTH;
-
-    header(
-        "stream-bench",
-        "event-at-a-time TKG growth under a latency budget",
-    );
-    let cutoff = sys.asof_day;
-    let horizon = sys.client.world().config.horizon_day();
-    let schedule = sys.client.stream_reports(cutoff, horizon);
-    if schedule.is_empty() {
-        eprintln!("[stream] world has no post-cutoff reports to stream");
-        return false;
-    }
-    let study = study_config(opts);
-    // Roughly monthly ticks, expressed as an event-count cadence so the
-    // equivalence run below ticks at identical points by construction.
-    let cadence = (schedule.len() / study.months.max(1) as usize).max(1);
-    let cfg = StreamConfig {
-        study,
-        asof: AsofPolicy::WindowEnd {
-            origin: cutoff,
-            stride: DAYS_PER_MONTH,
-        },
-        // The main run ticks manually so push and tick cost separate
-        // cleanly; the equivalence run uses the automatic cadence at
-        // the same boundaries, cross-checking the two trigger paths.
-        tick_every: None,
-        budget_us: 50_000,
-    };
-    println!(
-        "[stream] {} reports, tick every {} events, budget {} us/event",
-        schedule.len(),
-        cadence,
-        cfg.budget_us
-    );
-
-    let mut rt = rec.time("stream_init", || {
-        StreamRuntime::new(opts.rng(), sys, cfg.clone())
-    });
-    let mut push_secs = 0.0f64;
-    let mut tick_secs = 0.0f64;
-    for r in &schedule {
-        let t = Instant::now();
-        rt.push(r);
-        push_secs += t.elapsed().as_secs_f64();
-        if rt.pending_events() >= cadence {
-            let t = Instant::now();
-            rt.tick();
-            tick_secs += t.elapsed().as_secs_f64();
-        }
-    }
-    let t = Instant::now();
-    rt.finish();
-    tick_secs += t.elapsed().as_secs_f64();
-    rec.record("stream_push", push_secs);
-    rec.record("stream_ticks", tick_secs);
-    let ledger = rt.ledger();
-    let amortized_us = (push_secs + rt.sync_seconds()) * 1e6 / ledger.issued.max(1) as f64;
-    println!(
-        "[stream] issued={} attributed={} dropped={} within_budget={} exceeded={} ticks={}",
-        ledger.issued,
-        ledger.attributed,
-        ledger.dropped,
-        ledger.within_budget,
-        ledger.exceeded,
-        rt.tick_reports().len()
-    );
-
-    // The naive baseline: what one event would cost if every arrival
-    // triggered a full input rebuild over the final (largest) graph.
-    // Encoder training is excluded — even a naive design trains once.
-    let rebuild_us = {
-        let tkg = &rt.system().tkg;
-        let mut rng = opts.rng();
-        let (_, encoders, scalers) =
-            trail::embed::train_autoencoders_with_scalers(&mut rng, tkg, &cfg.study.ae);
-        let (_, secs) = rec.time_with("stream_rebuild_baseline", || {
-            let _csr = tkg.csr();
-            let emb =
-                trail::embed::compute_codes_with(tkg, &encoders, &scalers, cfg.study.ae.batch_size);
-            let pairs: Vec<_> = tkg.events.iter().map(|e| (e.node, e.apt)).collect();
-            trail::embed::assemble_gnn_input(tkg, &emb, &pairs)
-        });
-        secs * 1e6
-    };
-    let ratio = rebuild_us / amortized_us.max(1e-9);
-
-    // Equivalence drill: identical world, same seed and config, same
-    // report stream in micro-batches of 64 — must land on the same
-    // bits.
-    let cfg64 = StreamConfig {
-        tick_every: Some(cadence),
-        ..cfg.clone()
-    };
-    let rt64 = rec.time("stream_equivalence_run", || {
-        let mut rt64 = StreamRuntime::new(opts.rng(), opts.build_system(), cfg64);
-        for chunk in schedule.chunks(64) {
-            rt64.push_batch(chunk);
-        }
-        rt64.finish();
-        rt64
-    });
-    let equal = rt.tkg_fingerprint() == rt64.tkg_fingerprint()
-        && rt.model_fingerprint() == rt64.model_fingerprint()
-        && rt.tick_reports() == rt64.tick_reports();
-    let reconciled = ledger.reconciles() && rt64.ledger().reconciles();
-    if !equal {
-        eprintln!(
-            "[stream] DIVERGENCE: event-at-a-time {:#018x}/{:#018x} vs micro-batch-64 \
-             {:#018x}/{:#018x}",
-            rt.tkg_fingerprint(),
-            rt.model_fingerprint(),
-            rt64.tkg_fingerprint(),
-            rt64.model_fingerprint()
-        );
-    }
-    println!(
-        "[stream-summary] events={} ticks={} amortized_us={:.1} rebuild_us={:.1} ratio={:.1} \
-         equal={} reconciled={}",
-        ledger.issued,
-        rt.tick_reports().len(),
-        amortized_us,
-        rebuild_us,
-        ratio,
-        u8::from(equal),
-        u8::from(reconciled)
-    );
-
-    // WAL microbench: the pure durability overhead (frame encode +
-    // append + fsync) per event under each policy, over the same
-    // report schedule — no runtime attached, so the numbers isolate
-    // what `DurableStream` adds to a push. Afterwards the `Always` log
-    // is scanned back and must replay the schedule exactly, and a torn
-    // tail must truncate to the durable prefix.
-    let (wal_us, recovered_equal, torn_ok) = {
-        use trail::stream::wal::{self, FsyncPolicy, Wal, WalConfig};
-        let root = std::env::temp_dir().join(format!("trail-walbench-{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        let policies = [
-            ("always", FsyncPolicy::Always),
-            ("every32", FsyncPolicy::EveryN(32)),
-            ("ontick", FsyncPolicy::OnTick),
-        ];
-        let mut wal_us = [f64::NAN; 3];
-        let mut io_ok = true;
-        for (i, (name, policy)) in policies.iter().enumerate() {
-            let cfg = WalConfig {
-                dir: root.join(name),
-                segment_bytes: 4 << 20,
-                fsync: *policy,
-            };
-            let run = || -> Result<f64, wal::WalError> {
-                let mut w = Wal::create(cfg.clone())?;
-                let t = Instant::now();
-                for (j, r) in schedule.iter().enumerate() {
-                    w.append(r)?;
-                    if matches!(policy, FsyncPolicy::OnTick) && (j + 1) % cadence == 0 {
-                        w.sync()?;
-                    }
-                }
-                w.sync()?;
-                Ok(t.elapsed().as_secs_f64() * 1e6 / schedule.len() as f64)
-            };
-            match run() {
-                Ok(us) => wal_us[i] = us,
-                Err(e) => {
-                    eprintln!("[stream] WAL bench ({name}) errored: {e}");
-                    io_ok = false;
-                }
-            }
-        }
-        let recovered_equal = match wal::scan(&root.join("always")) {
-            Ok((recovered, rep)) => rep.tear.is_none() && recovered == schedule,
-            Err(e) => {
-                eprintln!("[stream] WAL recovery scan errored: {e}");
-                false
-            }
-        };
-        // Tear the every32 log three bytes into its last record: the
-        // scan must truncate to exactly the first N-1 records.
-        let torn_ok = {
-            let seg = root.join("every32").join("wal-00000000.twl");
-            let torn = std::fs::metadata(&seg)
-                .and_then(|m| {
-                    std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(&seg)
-                        .and_then(|f| f.set_len(m.len().saturating_sub(3)))
-                })
-                .is_ok();
-            torn && match wal::scan(&root.join("every32")) {
-                Ok((recovered, rep)) => {
-                    rep.tear.is_some()
-                        && recovered.len() == schedule.len() - 1
-                        && recovered[..] == schedule[..schedule.len() - 1]
-                }
-                Err(e) => {
-                    eprintln!("[stream] torn-tail scan errored: {e}");
-                    false
-                }
-            }
-        };
-        std::fs::remove_dir_all(&root).ok();
-        (wal_us, recovered_equal && io_ok, torn_ok)
-    };
-    println!(
-        "[wal-summary] records={} always_us={:.1} every32_us={:.1} ontick_us={:.1} \
-         recovered_equal={} torn_tail_ok={}",
-        schedule.len(),
-        wal_us[0],
-        wal_us[1],
-        wal_us[2],
-        u8::from(recovered_equal),
-        u8::from(torn_ok)
-    );
-
-    let tick_json: Vec<serde_json::Value> = rt
-        .tick_reports()
-        .iter()
-        .map(|t| {
-            serde_json::json!({
-                "month": t.result.month,
-                "n_events": t.result.n_events,
-                "stale_acc": t.result.stale_acc,
-                "fresh_acc": t.result.fresh_acc,
-                "lp_agree": t.lp_agree,
-            })
-        })
-        .collect();
-    let wal_json = serde_json::json!({
-        "always_us": wal_us[0],
-        "every32_us": wal_us[1],
-        "ontick_us": wal_us[2],
-        "recovered_equal": recovered_equal,
-        "torn_tail_ok": torn_ok,
-    });
-    let doc = serde_json::json!({
-        "experiment": "stream-bench",
-        "seed": opts.seed,
-        "scale": opts.scale as f64,
-        "quick": opts.quick,
-        "threads": trail_linalg::pool::num_threads(),
-        "events": ledger.issued,
-        "attributed": ledger.attributed,
-        "dropped": ledger.dropped,
-        "within_budget": ledger.within_budget,
-        "exceeded": ledger.exceeded,
-        "budget_us": cfg.budget_us,
-        "tick_every": cadence,
-        "ticks": rt.tick_reports().len(),
-        "push_seconds": push_secs,
-        "tick_seconds": tick_secs,
-        "sync_seconds": rt.sync_seconds(),
-        "amortized_us": amortized_us,
-        "rebuild_us": rebuild_us,
-        "ratio": ratio,
-        "equal": equal,
-        "reconciled": reconciled,
-        "wal": wal_json,
-        "tkg_fingerprint": format!("{:#018x}", rt.tkg_fingerprint()),
-        "model_fingerprint": format!("{:#018x}", rt.model_fingerprint()),
-        "tick_results": tick_json,
-    });
-    let cost_ok = ratio >= 10.0;
-    if !cost_ok {
-        eprintln!(
-            "[stream] FAIL: amortized per-event cost is only {ratio:.1}x below a full rebuild \
-             (need >=10x)"
-        );
-    }
-    let mut ok = equal
-        && reconciled
-        && recovered_equal
-        && torn_ok
-        && cost_ok
-        && ledger.attributed > 0
-        && !rt.tick_reports().is_empty();
-    match std::fs::write(
-        "BENCH_stream.json",
-        serde_json::to_string_pretty(&doc).expect("stream doc serialises"),
-    ) {
-        Ok(()) => println!("[stream] run report written to BENCH_stream.json"),
-        Err(e) => {
-            eprintln!("[stream] could not write BENCH_stream.json: {e}");
-            ok = false;
-        }
-    }
-    ok
-}
-
 /// `repro scale-bench` — sharded parallel ingest + compact storage at
 /// paper scale (DESIGN.md §15). Builds one world, ingests it four
 /// ways — the sequential reference plus the shard-parallel path at

@@ -254,10 +254,6 @@ pub struct StreamRuntime {
     pub(crate) window_ingest: IngestStats,
     stream_collect: CollectStats,
     ledger: BudgetLedger,
-    /// Wall clock spent in [`Self::sync`] — the incremental-maintenance
-    /// cost that replaces full input rebuilds. Measurement only; never
-    /// part of any determinism comparison.
-    sync_secs: f64,
 }
 
 impl StreamRuntime {
@@ -318,7 +314,6 @@ impl StreamRuntime {
             window_ingest: IngestStats::default(),
             stream_collect: CollectStats::default(),
             ledger: BudgetLedger::default(),
-            sync_secs: 0.0,
         };
         rt.rebuild_inputs();
         rt
@@ -442,7 +437,6 @@ impl StreamRuntime {
     /// since the last sync. Costs what the graph grew by: nothing but
     /// a few comparisons when it did not grow.
     fn sync(&mut self) {
-        let t = Instant::now();
         let csr = self.inc_csr.take().expect("present between calls");
         let grew = csr.node_count() != self.sys.tkg.graph.node_count()
             || csr.half_edge_count() / 2 != self.sys.tkg.graph.edge_count();
@@ -458,7 +452,6 @@ impl StreamRuntime {
             self.cfg.study.ae.batch_size,
         );
         self.inc_csr = Some(csr);
-        self.sync_secs += t.elapsed().as_secs_f64();
     }
 
     /// Fire a tick: sync the incremental state, evaluate both models on
@@ -673,13 +666,6 @@ impl StreamRuntime {
     /// The budget ledger so far.
     pub fn ledger(&self) -> BudgetLedger {
         self.ledger
-    }
-
-    /// Total wall clock spent keeping the incremental state current
-    /// (delta merges and new-row encodes) — the
-    /// work that replaces full input rebuilds. Measurement only.
-    pub fn sync_seconds(&self) -> f64 {
-        self.sync_secs
     }
 
     /// Collector verdicts over the streamed reports.

@@ -11,14 +11,15 @@
 //!   runtime on the shared worker pool: circuit-breaker admission,
 //!   deterministic per-worker model replicas, per-request latency
 //!   histograms and exactly-reconciling outcome counters.
-//! * [`loadgen`] — a seeded deterministic load generator and per-level
-//!   measurement for `repro serve-bench`.
+//! * [`loadgen`] — a seeded deterministic load generator plus the
+//!   outcome totals and response fingerprint of a replayed batch.
 //!
 //! The serving invariant: the query path is strictly read-only against
 //! the bundle, and rankings are a pure function of `(bundle, query)` —
 //! independent of the worker count, the replica that served the
-//! request, and any concurrent traffic. DESIGN.md §12 documents the
-//! architecture.
+//! request, and any concurrent traffic. `tests/serve_test.rs` checks
+//! it at widths 1 and 8 and pins the rankings' fingerprint; perfbench
+//! times the query path. DESIGN.md §12 documents the architecture.
 
 pub mod bundle;
 pub mod loadgen;
@@ -42,9 +43,9 @@ mod tests {
     use trail_linalg::Matrix;
     use trail_osint::{BreakerConfig, CircuitBreaker};
 
-    /// Serialize the tests that bump or read the process-global
-    /// `serve.*` counters: `run_level` reconciles counter deltas over
-    /// a window that a sibling test's requests must not land in.
+    /// Serialize the tests that issue requests through a runtime: they
+    /// bump the process-global `serve.*` counters, and a test that
+    /// reconciles those counters must not see a sibling's requests.
     fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
         static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
@@ -337,44 +338,5 @@ mod tests {
         }
         let other = loadgen::generate(&rt, &LoadMix { seed: 999, ..mix });
         assert!(a.iter().zip(&other).any(|(x, y)| x.iocs != y.iocs));
-    }
-
-    #[test]
-    fn level_reports_reconcile_and_fingerprint_identically_across_widths() {
-        let _g = obs_lock();
-        let bundle = Arc::new(tiny_bundle());
-        let breaker = Arc::new(CircuitBreaker::new(BreakerConfig::default()));
-        let rt = ServeRuntime::new(
-            bundle,
-            breaker,
-            RuntimeConfig {
-                replicas: 8,
-                limits: QueryLimits::default(),
-            },
-        );
-        let queries = loadgen::generate(
-            &rt,
-            &LoadMix {
-                queries: 64,
-                iocs_per_query: 4,
-                ..Default::default()
-            },
-        );
-        let lvl1 = loadgen::run_level(&rt, &queries, 1);
-        let lvl8 = loadgen::run_level(&rt, &queries, 8);
-        for lvl in [&lvl1, &lvl8] {
-            assert_eq!(lvl.issued, 64);
-            assert_eq!(lvl.admitted, 64);
-            assert_eq!(lvl.rejected, 0);
-            assert_eq!(lvl.completed + lvl.failed, lvl.admitted);
-            assert!(
-                lvl.counters_reconciled,
-                "obs counters must reconcile exactly"
-            );
-        }
-        assert_eq!(
-            lvl1.fingerprint, lvl8.fingerprint,
-            "rankings must not depend on width"
-        );
     }
 }

@@ -1,13 +1,14 @@
-//! Deterministic seeded load generation and per-level measurement for
-//! `repro serve-bench`.
+//! Deterministic seeded load generation and the per-batch outcome
+//! ledger for replaying it.
 //!
 //! The generator samples a fixed query mix — known IOCs drawn from the
 //! bundle's graph, unknown (unattributable) IOCs, and optional poison
 //! requests for breaker drills — entirely from a seeded RNG, so the
 //! same `(bundle, mix)` always produces the same query list. Replaying
 //! that list at several concurrency levels and fingerprinting the
-//! responses is how the bench proves rankings are independent of the
-//! worker count.
+//! responses is how `tests/serve_test.rs` proves rankings are
+//! independent of the worker count; `perfbench/` draws its serving
+//! load from the same generator and times it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -91,11 +92,9 @@ pub fn generate(runtime: &ServeRuntime, mix: &LoadMix) -> Vec<Query> {
     out
 }
 
-/// Everything measured at one concurrency level.
+/// The outcome totals and response fingerprint of one replayed batch.
 #[derive(Debug, Clone)]
 pub struct LevelReport {
-    /// Worker-pool width the batch ran at.
-    pub concurrency: usize,
     /// Requests issued.
     pub issued: u64,
     /// Requests past the breaker.
@@ -106,16 +105,6 @@ pub struct LevelReport {
     pub completed: u64,
     /// Admitted requests that faulted.
     pub failed: u64,
-    /// Median request latency (µs).
-    pub p50_us: u64,
-    /// 99th-percentile request latency (µs).
-    pub p99_us: u64,
-    /// Mean request latency (µs).
-    pub mean_us: u64,
-    /// Whole-batch wall clock (seconds).
-    pub wall_seconds: f64,
-    /// Requests per second over the batch.
-    pub qps: f64,
     /// FNV-1a over every response's outcome in issue order — equal
     /// fingerprints across levels mean bitwise-identical rankings.
     pub fingerprint: u64,
@@ -147,14 +136,7 @@ pub fn fingerprint(responses: &[Response]) -> u64 {
     fnv1a(&bytes)
 }
 
-fn percentile(sorted_us: &[u64], p: usize) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    sorted_us[(sorted_us.len() - 1) * p / 100]
-}
-
-/// Replay `queries` at one concurrency level and measure everything,
+/// Replay `queries` at one concurrency level and total the outcomes,
 /// including the obs-counter reconciliation.
 pub fn run_level(runtime: &ServeRuntime, queries: &[Query], concurrency: usize) -> LevelReport {
     let before = [
@@ -164,9 +146,7 @@ pub fn run_level(runtime: &ServeRuntime, queries: &[Query], concurrency: usize) 
         trail_obs::counter_value("serve.completed"),
         trail_obs::counter_value("serve.failed"),
     ];
-    let start = std::time::Instant::now();
     let responses = runtime.run_batch(queries, concurrency);
-    let wall_seconds = start.elapsed().as_secs_f64();
 
     let mut completed = 0u64;
     let mut rejected = 0u64;
@@ -191,30 +171,12 @@ pub fn run_level(runtime: &ServeRuntime, queries: &[Query], concurrency: usize) 
     let deltas: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
     let counters_reconciled = deltas == [issued, admitted, rejected, completed, failed];
 
-    let mut lat: Vec<u64> = responses.iter().map(|r| r.latency_us).collect();
-    lat.sort_unstable();
-    let mean_us = if lat.is_empty() {
-        0
-    } else {
-        lat.iter().sum::<u64>() / lat.len() as u64
-    };
-
     LevelReport {
-        concurrency,
         issued,
         admitted,
         rejected,
         completed,
         failed,
-        p50_us: percentile(&lat, 50),
-        p99_us: percentile(&lat, 99),
-        mean_us,
-        wall_seconds,
-        qps: if wall_seconds > 0.0 {
-            issued as f64 / wall_seconds
-        } else {
-            0.0
-        },
         fingerprint: fingerprint(&responses),
         counters_reconciled,
     }

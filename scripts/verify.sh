@@ -24,32 +24,36 @@
 # Fig. 7/8 tables `repro fig8` prints must equal those of
 # `repro fig8 --resume` into a fresh directory: one RNG policy.
 #
-# The perf tier runs the benches. Each bench owns its verdict and
-# exits non-zero when one of its invariants breaks:
+# The perf tier runs the benches, kernels last: its matmul geomean
+# sits on the 1.5x bar and fails about one run in three on a 2-vCPU
+# host, and a failure there must not hide scale-bench's verdict. Each
+# bench owns its verdict and exits non-zero when one of its invariants
+# breaks:
+#   repro scale-bench     sharded builds bitwise == sequential, compact
+#                         CSR agrees with the wide layout and is <= 0.6x
+#                         its size, 8-thread speedup >= 2x on >= 8 cores
 #   kernels --check       blocked f32 matmul >= 1.5x and i8 >= 2x
 #                         geomean speedup over the reference kernels,
 #                         min-of-N, each shape's kernels interleaved,
 #                         every timed call after a warm-up call of
 #                         the same kernel, operands page-aligned
-#   repro serve-bench     >= 2 concurrency levels, rankings identical
-#                         across them, request counters reconcile
-#   repro stream-bench    stream == micro-batch bits, ledger
-#                         reconciles, ticks fired, amortized cost
-#                         >= 10x below a full rebuild, WAL scans back
-#                         equal and a torn tail truncates cleanly
-#   repro scale-bench     sharded builds bitwise == sequential, compact
-#                         CSR agrees with the wide layout and is <= 0.6x
-#                         its size, 8-thread speedup >= 2x on >= 8 cores
-# The only comparisons left here need the committed BENCH_*.json: a
-# fresh top-level field against the committed one, with wide slack
-# that catches order-of-magnitude regressions, not machine noise, and
-# two fingerprints that must match the committed ones exactly: the
-# stream bench's fine-tuned model (a change to the tick's model bits
-# fails here) and the serve bench's responses (a change to any served
-# ranking bit fails here). The committed fingerprints come from the
+# The one comparison left here needs the committed BENCH_scale.json:
+# its compact bytes/node, with slack that catches order-of-magnitude
+# regressions, not machine noise.
+#
+# Serving and streaming are not benched here. Their bits are tier-1
+# tests: tests/serve_test.rs holds rankings equal at widths 1 and 8,
+# the request counters reconciled through a breaker drill and the
+# responses' fingerprint pinned; tests/stream_equivalence_test.rs
+# holds stream == micro-batch == manual ticks, the ledger reconciled,
+# ticks fired and the whole-batch TKG/model fingerprints pinned;
+# tests/wal_recovery_test.rs holds WAL replay and torn tails. Their
+# latencies are perfbench's (BENCHMARK.json): serve_p99_us, serve_qps,
+# push_p50_us, tick_p50_ms and ingest_events_per_s, each within 25 %
+# of the parent on every change. The pinned fingerprints come from the
 # in-repo rand stand-in (scripts/harness/stubs/rand, xoshiro256++): a
 # build against upstream rand generates another world and must
-# re-commit BENCH_stream.json and BENCH_serve.json.
+# re-commit them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C
@@ -154,26 +158,6 @@ if [ "$run_perf" -eq 1 ]; then
   json_field() { # $1 = file, $2 = field
     sed -n "s/^  \"$2\": \([-0-9.eE+]*\),\{0,1\}\$/\1/p" "$1" | head -1
   }
-  # A top-level string field of a pretty-printed BENCH_*.json.
-  json_string() { # $1 = file, $2 = field
-    sed -n "s/^  \"$2\": \"\([^\"]*\)\",\{0,1\}\$/\1/p" "$1" | head -1
-  }
-  # Field $3 of the fresh report $1 must equal the committed report
-  # $2's, character for character. A missing field fails.
-  same() { # $1 = fresh json, $2 = committed json, $3 = field
-    local fresh base
-    fresh="$(json_string "$1" "$3")"
-    base="$(json_string "$2" "$3")"
-    if [ -z "$fresh" ] || [ -z "$base" ]; then
-      echo "FAIL: field $3 missing from $1 or $2" >&2
-      exit 1
-    fi
-    if [ "$fresh" != "$base" ]; then
-      echo "FAIL: $3 = $fresh differs from committed $base ($2)" >&2
-      exit 1
-    fi
-    echo "same ok: $3 = $fresh"
-  }
   # A non-negative decimal as an integer count of thousandths.
   milli() { # $1 = number
     local v
@@ -212,23 +196,12 @@ if [ "$run_perf" -eq 1 ]; then
     (cd "$perf_dir" && "$bin" "$@")
   }
 
-  echo "== perf tier: blocked/quantized kernel speedups (single thread) =="
-  bench kernels --check --out "$perf_dir/BENCH_kernels.json"
-
-  echo "== perf tier: serving determinism + latency/throughput floor =="
-  bench repro serve-bench --quick
-  slack "$perf_dir/BENCH_serve.json" BENCH_serve.json max_p99_us le 10
-  slack "$perf_dir/BENCH_serve.json" BENCH_serve.json min_qps ge 10
-  same "$perf_dir/BENCH_serve.json" BENCH_serve.json fingerprint
-
-  echo "== perf tier: streaming amortized cost, stream==batch, WAL replay =="
-  bench repro stream-bench --quick
-  slack "$perf_dir/BENCH_stream.json" BENCH_stream.json amortized_us le 10
-  same "$perf_dir/BENCH_stream.json" BENCH_stream.json model_fingerprint
-
   echo "== perf tier: sharded ingest determinism + compact storage =="
   bench repro scale-bench --quick
   slack "$perf_dir/BENCH_scale.json" BENCH_scale.json bytes_per_node_compact le 1.5
+
+  echo "== perf tier: blocked/quantized kernel speedups (single thread) =="
+  bench kernels --check --out "$perf_dir/BENCH_kernels.json"
 fi
 
 echo "tier-1 gate: OK"

@@ -2,7 +2,8 @@
 //! tiny world, replay one seeded query mix from 1 and 8 worker
 //! threads against one shared `ServeBundle`, and require bitwise
 //! identical rankings plus exact `trail-obs` counter reconciliation —
-//! including through a poison-query breaker drill.
+//! including through a poison-query breaker drill — and rankings
+//! equal to the committed `SERVE_FINGERPRINT`.
 //!
 //! Everything that issues requests lives in one `#[test]` because the
 //! serve counters are process-global: concurrent tests issuing requests

@@ -8,8 +8,9 @@
 //! The comparisons are exact — no tolerances — because the streaming
 //! design claims determinism, not approximation:
 //!
-//! * stream == stream across micro-batch partitions {1, 7, 64} and
-//!   arbitrary random partitions (proptest);
+//! * stream == stream across micro-batch partitions {1, 7, 64},
+//!   hand-called ticks and arbitrary random partitions (proptest),
+//!   all on the whole-batch bits pinned in `WHOLE_BATCH_BITS`;
 //! * stream == the batch system path (`TrailSystem::ingest_window`);
 //! * monthly-ticked stream == the full-rebuild study oracle
 //!   (`tests/common/study_oracle.rs`), output for output;
