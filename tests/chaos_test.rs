@@ -212,7 +212,27 @@ fn kill_and_resume_under_chaos_is_bitwise_identical() {
         resumed, full,
         "resumed study diverged from the uninterrupted run"
     );
-    for d in [dir_full, dir_killed] {
+
+    // A damaged checkpoint is refused with a typed error, never a panic
+    // and never a study: (a) the real checkpoint with one payload byte
+    // flipped, which only the checksum can catch; (b) garbage behind
+    // the TSC1 magic, which the header refuses.
+    let ckpt = dir_killed.join("study.ckpt");
+    let mut bytes = std::fs::read(&ckpt).expect("checkpoint written");
+    bytes[100] ^= 0x40;
+    std::fs::write(&ckpt, &bytes).expect("write flipped checkpoint");
+    let dir_garbage = temp_dir("garbage");
+    std::fs::create_dir_all(&dir_garbage).expect("create garbage dir");
+    std::fs::write(
+        dir_garbage.join("study.ckpt"),
+        b"TSC1 this is not a valid checkpoint payload",
+    )
+    .expect("write garbage checkpoint");
+    for (dir, case) in [(&dir_killed, "payload-flipped"), (&dir_garbage, "garbage")] {
+        let run = run_resumable_study(chaos_client(&plan, 123), cutoff, &cfg, seed, dir, None);
+        assert!(run.is_err(), "a {case} checkpoint was accepted: {run:?}");
+    }
+    for d in [dir_full, dir_killed, dir_garbage] {
         std::fs::remove_dir_all(d).ok();
     }
 }
