@@ -12,13 +12,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use trail::attribute::{self, GnnEvalConfig, IocModelSettings, ModelKind};
-use trail::checkpoint::StudyCheckpoint;
 use trail::embed::NodeEmbeddings;
 use trail::longitudinal::{self, run_resumable_study, StudyConfig, StudyOutput};
 use trail::report;
 use trail::system::TrailSystem;
 use trail_ml::nn::autoencoder::AutoencoderConfig;
-use trail_osint::{ChaosPlan, CircuitBreaker, OsintClient, World, WorldConfig};
+use trail_osint::{OsintClient, World, WorldConfig};
 
 /// Harness-wide run options.
 #[derive(Debug, Clone, Copy)]
@@ -31,11 +30,6 @@ pub struct RunOptions {
     pub folds: usize,
     /// Quick mode: smaller models, fewer epochs.
     pub quick: bool,
-    /// Transient-fault injection probability for the OSINT client
-    /// (`--faults`; 0.0 = off). Retried ingestion must converge to the
-    /// fault-free graph, so results are unaffected — only the ingest
-    /// taxonomy in `BENCH_repro.json` shows the retries.
-    pub transient_fault_prob: f32,
 }
 
 impl Default for RunOptions {
@@ -45,7 +39,6 @@ impl Default for RunOptions {
             seed: 0x0072_1411,
             folds: 5,
             quick: false,
-            transient_fault_prob: 0.0,
         }
     }
 }
@@ -54,13 +47,11 @@ impl RunOptions {
     /// Build the world + TRAIL system for these options. Setup cost is
     /// tracked by the `setup.build_system` span (world generation and
     /// the TKG build as children); the human-readable summary line is
-    /// suppressed in `--quick` mode so stage records stay
-    /// machine-parseable.
+    /// suppressed in `--quick` mode.
     pub fn build_system(&self) -> TrailSystem {
         let _setup = trail_obs::span("setup.build_system");
         let mut cfg = WorldConfig::default().scaled(self.scale);
         cfg.seed = self.seed;
-        cfg.transient_fault_prob = self.transient_fault_prob;
         let world = {
             let _s = trail_obs::span("world_gen");
             Arc::new(World::generate(cfg))
@@ -135,149 +126,6 @@ impl RunOptions {
                 ..Default::default()
             }
         }
-    }
-}
-
-/// Per-stage wall-clock recorder for `repro` runs.
-///
-/// Collects `stage -> seconds` pairs plus free-form metadata (thread
-/// count, world scale, graph size) and serialises them as one JSON
-/// object, so perf regressions across commits can be diffed
-/// mechanically instead of scraping stdout. Stages timed through
-/// [`BenchRecorder::time`]/[`BenchRecorder::time_with`] additionally
-/// capture the `trail-obs` metrics *delta* of the stage (spans,
-/// counters, histograms), embedded under `"metrics"` in the JSON.
-///
-/// With [`BenchRecorder::set_machine_readable`] on (`--quick` runs),
-/// every recorded stage also prints one `[stage] <name>
-/// seconds=<secs>` line — a stable, grep-able record stream that never
-/// interleaves with the setup banners (those are suppressed in quick
-/// mode).
-#[derive(Debug, Default)]
-pub struct BenchRecorder {
-    stages: Vec<(String, f64)>,
-    meta: Vec<(String, serde_json::Value)>,
-    taxonomy: Vec<(String, serde_json::Value)>,
-    metrics: Vec<(String, trail_obs::MetricsSnapshot)>,
-    machine_readable: bool,
-}
-
-impl BenchRecorder {
-    /// Empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attach a metadata field (last write for a key wins).
-    pub fn set_meta(&mut self, key: &str, value: impl Into<serde_json::Value>) {
-        let value = value.into();
-        if let Some(slot) = self.meta.iter_mut().find(|(k, _)| k == key) {
-            slot.1 = value;
-        } else {
-            self.meta.push((key.to_owned(), value));
-        }
-    }
-
-    /// Emit one machine-parseable line per recorded stage (quick mode).
-    pub fn set_machine_readable(&mut self, on: bool) {
-        self.machine_readable = on;
-    }
-
-    /// Record an already-measured stage duration. Repeated stage names
-    /// accumulate (e.g. the per-fold pieces of one experiment).
-    pub fn record(&mut self, stage: &str, seconds: f64) {
-        if self.machine_readable {
-            println!("[stage] {stage} seconds={seconds:.3}");
-        }
-        self.stages.push((stage.to_owned(), seconds));
-    }
-
-    /// Time `f` and record it under `stage`.
-    pub fn time<T>(&mut self, stage: &str, f: impl FnOnce() -> T) -> T {
-        self.time_with(stage, f).0
-    }
-
-    /// Time `f` under `stage`, returning `(result, seconds)`. The body
-    /// runs inside a span named after the stage, and the registry's
-    /// metrics delta over the stage is attached via
-    /// [`Self::record_metrics`].
-    pub fn time_with<T>(&mut self, stage: &str, f: impl FnOnce() -> T) -> (T, f64) {
-        let before = trail_obs::snapshot();
-        let t = Instant::now();
-        let out = {
-            let _span = trail_obs::span(stage);
-            f()
-        };
-        let seconds = t.elapsed().as_secs_f64();
-        self.record(stage, seconds);
-        self.record_metrics(stage, trail_obs::snapshot().delta_since(&before));
-        (out, seconds)
-    }
-
-    /// Attach a stage's metrics snapshot. Repeated stage names merge
-    /// via [`trail_obs::MetricsSnapshot::absorb`]; empty snapshots
-    /// (e.g. with the registry disabled) are dropped.
-    pub fn record_metrics(&mut self, stage: &str, snap: trail_obs::MetricsSnapshot) {
-        if snap.is_empty() {
-            return;
-        }
-        if let Some(slot) = self.metrics.iter_mut().find(|(k, _)| k == stage) {
-            slot.1.absorb(&snap);
-        } else {
-            self.metrics.push((stage.to_owned(), snap));
-        }
-    }
-
-    /// Attach a stage's ingest taxonomy (the JSON object
-    /// `trail::enrich::IngestStats::to_json` produces). Last write for
-    /// a stage wins.
-    pub fn record_taxonomy(&mut self, stage: &str, taxonomy: serde_json::Value) {
-        if let Some(slot) = self.taxonomy.iter_mut().find(|(k, _)| k == stage) {
-            slot.1 = taxonomy;
-        } else {
-            self.taxonomy.push((stage.to_owned(), taxonomy));
-        }
-    }
-
-    /// The JSON document `write_json` persists.
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut root = serde_json::Map::new();
-        for (k, v) in &self.meta {
-            root.insert(k.clone(), v.clone());
-        }
-        let mut stages = serde_json::Map::new();
-        for (name, secs) in &self.stages {
-            let prev = stages
-                .get(name)
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(0.0);
-            stages.insert(name.clone(), serde_json::Value::from(prev + secs));
-        }
-        root.insert(
-            "stages_seconds".to_owned(),
-            serde_json::Value::Object(stages),
-        );
-        if !self.metrics.is_empty() {
-            let mut metrics = serde_json::Map::new();
-            for (stage, snap) in &self.metrics {
-                metrics.insert(stage.clone(), snap.to_json());
-            }
-            root.insert("metrics".to_owned(), serde_json::Value::Object(metrics));
-        }
-        if !self.taxonomy.is_empty() {
-            let mut tax = serde_json::Map::new();
-            for (stage, v) in &self.taxonomy {
-                tax.insert(stage.clone(), v.clone());
-            }
-            root.insert("ingest_taxonomy".to_owned(), serde_json::Value::Object(tax));
-        }
-        serde_json::Value::Object(root)
-    }
-
-    /// Write the report to `path` (pretty-printed JSON).
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        let text = serde_json::to_string_pretty(&self.to_json()).expect("recorder serialises");
-        std::fs::write(path, text)
     }
 }
 
@@ -429,12 +277,9 @@ pub fn table3(sys: &TrailSystem, opts: &RunOptions) {
     }
 }
 
-/// Table IV — event attribution across all nine approaches.
-///
-/// Per-approach wall-clock lands in `rec` (`table4_ioc_vote_*`,
-/// `table4_lp_*L`, `table4_gnn_*L`) — these are the stages the shared
-/// worker pool accelerates, so they anchor the perf comparison.
-pub fn table4(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &mut BenchRecorder) {
+/// Table IV — event attribution across all nine approaches, each row
+/// with its wall-clock seconds.
+pub fn table4(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
     header("table4", "event attribution, 5-fold CV (paper Table IV)");
     let mut rng = opts.rng();
     let settings = opts.ioc_settings();
@@ -444,9 +289,9 @@ pub fn table4(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &
         ("RF", 0.6878, 0.5491),
     ];
     for (i, model) in ModelKind::ALL.iter().enumerate() {
-        let (scores, secs) = rec.time_with(&format!("table4_ioc_vote_{}", model.name()), || {
-            attribute::eval_event_ml(&mut rng, &sys.tkg, *model, &settings, opts.folds)
-        });
+        let t = Instant::now();
+        let scores = attribute::eval_event_ml(&mut rng, &sys.tkg, *model, &settings, opts.folds);
+        let secs = t.elapsed().as_secs_f64();
         let (acc, std) = scores.acc_mean_std();
         let (bacc, _) = scores.bacc_mean_std();
         let (_, p_acc, p_bacc) = paper_ml[i];
@@ -462,9 +307,9 @@ pub fn table4(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &
         (4, 0.8236, 0.7734),
     ];
     for &(layers, p_acc, p_bacc) in &paper_lp {
-        let (scores, secs) = rec.time_with(&format!("table4_lp_{layers}L"), || {
-            attribute::eval_event_lp(&mut rng, &sys.tkg, layers, opts.folds)
-        });
+        let t = Instant::now();
+        let scores = attribute::eval_event_lp(&mut rng, &sys.tkg, layers, opts.folds);
+        let secs = t.elapsed().as_secs_f64();
         let (acc, std) = scores.acc_mean_std();
         let (bacc, _) = scores.bacc_mean_std();
         row(
@@ -479,11 +324,11 @@ pub fn table4(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &
         (4, 0.8405, 0.7922),
     ];
     let gnn_cfg = opts.gnn_settings();
-    let gnn_total = Instant::now();
     for &(layers, p_acc, p_bacc) in &paper_gnn {
-        let (scores, secs) = rec.time_with(&format!("table4_gnn_{layers}L"), || {
-            attribute::eval_event_gnn(&mut rng, &sys.tkg, emb, layers, &gnn_cfg, opts.folds)
-        });
+        let t = Instant::now();
+        let scores =
+            attribute::eval_event_gnn(&mut rng, &sys.tkg, emb, layers, &gnn_cfg, opts.folds);
+        let secs = t.elapsed().as_secs_f64();
         let (acc, std) = scores.acc_mean_std();
         let (bacc, _) = scores.bacc_mean_std();
         row(
@@ -492,7 +337,6 @@ pub fn table4(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &
             format!("{acc:.4}±{std:.4}/{bacc:.4}  ({secs:.1}s)"),
         );
     }
-    rec.record("table4_gnn_total", gnn_total.elapsed().as_secs_f64());
 }
 
 /// Study configuration for the longitudinal experiments.
@@ -536,21 +380,10 @@ fn print_study(out: &StudyOutput) {
     }
 }
 
-/// Figs. 7 & 8 — the monthly study. The monthly windows' ingest
-/// taxonomy lands in `rec` under `fig7_fig8_windows`, and the study's
-/// heap-allocation-event delta is attached as the `allocations` meta
-/// field (0 unless the binary installs
-/// [`trail_obs::alloc::CountingAllocator`], as `repro` does).
-pub fn fig7_fig8(sys: TrailSystem, opts: &RunOptions, rec: &mut BenchRecorder) {
+/// Figs. 7 & 8 — the monthly study.
+pub fn fig7_fig8(sys: TrailSystem, opts: &RunOptions) {
     header("fig7+fig8", "months-long study (paper Section VII-C)");
-    let cfg = study_config(opts);
-    let allocs_before = trail_obs::alloc::allocation_count();
-    let out = longitudinal::run_monthly_study(opts.seed, sys, &cfg);
-    let allocs = trail_obs::alloc::allocation_count() - allocs_before;
-    rec.set_meta("allocations", allocs);
-    let mut windows = serde_json::Map::new();
-    windows.insert("ingest".to_owned(), out.ingest.to_json());
-    rec.record_taxonomy("fig7_fig8_windows", serde_json::Value::Object(windows));
+    let out = longitudinal::run_monthly_study(opts.seed, sys, &study_config(opts));
     print_study(&out);
 }
 
@@ -559,12 +392,7 @@ pub fn fig7_fig8(sys: TrailSystem, opts: &RunOptions, rec: &mut BenchRecorder) {
 /// completed window; the output is bitwise-identical to an
 /// uninterrupted run either way. Returns `false` when the checkpoint
 /// in `dir` is refused (corrupt, truncated, or from another run).
-pub fn fig7_fig8_resumable(
-    client: OsintClient,
-    opts: &RunOptions,
-    dir: &Path,
-    rec: &mut BenchRecorder,
-) -> bool {
+pub fn fig7_fig8_resumable(client: OsintClient, opts: &RunOptions, dir: &Path) -> bool {
     header(
         "fig7+fig8",
         "months-long study, crash-safe (checkpoints in --resume dir)",
@@ -584,7 +412,6 @@ pub fn fig7_fig8_resumable(
                 dir.display(),
                 out.ingest.degradation(),
             );
-            rec.record_taxonomy("fig7_fig8_windows", out.ingest.to_json());
             print_study(&out);
             true
         }
@@ -594,147 +421,6 @@ pub fn fig7_fig8_resumable(
             false
         }
     }
-}
-
-/// The deterministic chaos drill (`repro --chaos SEED`): derive a
-/// fault plan from the seed, run the crash-safe study against the
-/// hostile world with a circuit breaker armed, kill it at the plan's
-/// window boundaries, resume to completion, and verify (a) the
-/// resumed output is bitwise-identical to an uninterrupted run and
-/// (b) corrupted/truncated checkpoints are rejected. Returns `false`
-/// if any invariant failed.
-pub fn chaos(opts: &RunOptions, chaos_seed: u64, rec: &mut BenchRecorder) -> bool {
-    header(
-        "chaos",
-        "deterministic fault drill: breaker, kills, corruption",
-    );
-    trail_obs::set_enabled(true);
-    let plan = ChaosPlan::from_seed(chaos_seed);
-    println!(
-        "plan {chaos_seed:#x}: fault_prob {:.2}{}, miss_prob {:.2}, kills after windows {:?}",
-        plan.transient_fault_prob,
-        if plan.feed_dead { " (dead feed)" } else { "" },
-        plan.analysis_miss_prob,
-        plan.kill_windows,
-    );
-    let mut wcfg = WorldConfig::default().scaled(opts.scale);
-    wcfg.seed = opts.seed;
-    plan.apply(&mut wcfg);
-    let world = Arc::new(World::generate(wcfg));
-    let cutoff = world.config.cutoff_day;
-    // One client per (re)start: a real process crash loses breaker
-    // state too, so every resume begins with a fresh, closed breaker.
-    let make_client = || {
-        let mut c = OsintClient::new(Arc::clone(&world));
-        c.set_breaker(Arc::new(CircuitBreaker::default()));
-        c
-    };
-    let study = study_config(opts);
-    let base =
-        std::env::temp_dir().join(format!("trail-chaos-{chaos_seed:x}-{}", std::process::id()));
-    let dir_full = base.join("uninterrupted");
-    let dir_kill = base.join("killed");
-
-    let mut ok = true;
-    let before = trail_obs::snapshot();
-    let full = match rec.time("chaos_uninterrupted", || {
-        run_resumable_study(make_client(), cutoff, &study, opts.seed, &dir_full, None)
-    }) {
-        Ok(Some(out)) => out,
-        Ok(None) => unreachable!("no kill point requested"),
-        Err(e) => {
-            println!("[chaos] FAIL: uninterrupted run errored: {e}");
-            return false;
-        }
-    };
-    let delta = trail_obs::snapshot().delta_since(&before);
-    let s = &full.ingest;
-    println!(
-        "degradation {:.3}: {} transient misses + {} breaker rejections over {} enrichment queries \
-         ({} retried, {} permanent gaps); attribution ran on the partial TKG",
-        s.degradation(),
-        s.missed_transient,
-        s.breaker_rejected,
-        s.first_order + s.secondary,
-        s.retried,
-        s.missed_permanent,
-    );
-    println!(
-        "breaker transitions: opened {} half-open {} re-closed {} rejected {}",
-        delta.counter("osint.breaker.opened"),
-        delta.counter("osint.breaker.half_open"),
-        delta.counter("osint.breaker.closed"),
-        delta.counter("osint.breaker.rejected"),
-    );
-    rec.record_taxonomy("chaos_windows", s.to_json());
-
-    // Kill-and-resume drill at the plan's windows.
-    for &k in &plan.kill_windows {
-        match rec.time("chaos_killed_runs", || {
-            run_resumable_study(make_client(), cutoff, &study, opts.seed, &dir_kill, Some(k))
-        }) {
-            Ok(None) => println!("[chaos] killed after window {k}; checkpoint durable"),
-            Ok(Some(_)) => println!("[chaos] study ended before kill point {k}"),
-            Err(e) => {
-                println!("[chaos] FAIL: killed run errored: {e}");
-                ok = false;
-            }
-        }
-    }
-    match rec.time("chaos_resume", || {
-        run_resumable_study(make_client(), cutoff, &study, opts.seed, &dir_kill, None)
-    }) {
-        Ok(Some(resumed)) if resumed == full => {
-            println!("[chaos] resumed output is bitwise-identical to the uninterrupted run");
-        }
-        Ok(Some(_)) => {
-            println!("[chaos] FAIL: resumed study diverged from the uninterrupted run");
-            ok = false;
-        }
-        Ok(None) => unreachable!("no kill point requested"),
-        Err(e) => {
-            println!("[chaos] FAIL: resume errored: {e}");
-            ok = false;
-        }
-    }
-
-    // Corruption drill: the plan's byte flips and a truncation must all
-    // be rejected by the typed loader — never a panic, never a torn read.
-    match std::fs::read(dir_kill.join("study.ckpt")) {
-        Ok(bytes) => {
-            let mut rejected = 0;
-            for &off in &plan.corrupt_offsets {
-                let mut bad = bytes.clone();
-                let p = (off % bytes.len() as u64) as usize;
-                bad[p] ^= 0x20;
-                if StudyCheckpoint::from_bytes(&bad).is_err() {
-                    rejected += 1;
-                } else {
-                    println!("[chaos] FAIL: byte flip at {p} loaded cleanly");
-                    ok = false;
-                }
-            }
-            if StudyCheckpoint::from_bytes(&bytes[..bytes.len() / 2]).is_err() {
-                rejected += 1;
-            } else {
-                println!("[chaos] FAIL: truncated checkpoint loaded cleanly");
-                ok = false;
-            }
-            println!(
-                "[chaos] corruption drill: {rejected}/{} damaged snapshots rejected",
-                plan.corrupt_offsets.len() + 1
-            );
-        }
-        Err(e) => {
-            println!("[chaos] FAIL: checkpoint unreadable: {e}");
-            ok = false;
-        }
-    }
-    std::fs::remove_dir_all(&base).ok();
-    if ok {
-        println!("[chaos] all invariants held for seed {chaos_seed:#x}");
-    }
-    ok
 }
 
 /// Case study (Figs. 5–6).
@@ -1005,9 +691,8 @@ pub fn fig10(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
 /// compares `forward` against `forward_quantized` on the test-fold
 /// input: max-abs logit error, argmax agreement on the test events,
 /// test accuracy under both paths, and min-of-N per-forward wall
-/// clock. Everything lands in `BENCH_repro.json` under the `quant`
-/// taxonomy plus `quant_forward_f32` / `quant_forward_i8` stages.
-pub fn quant(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &mut BenchRecorder) {
+/// clock, printed as table rows plus one `[quant]` summary line.
+pub fn quant(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
     header(
         "quant",
         "i8 symmetric per-row quantized inference vs f32 (2-layer GNN)",
@@ -1040,18 +725,16 @@ pub fn quant(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &m
         offset: emb.code_dim + 5,
         visible_fraction: cfg.label_visible_fraction,
     };
-    let (mut model, _) = rec.time("quant_train", || {
-        trail_gnn::train_sage_masked(
-            &mut rng,
-            &csr,
-            &mut x_train,
-            sage_cfg,
-            &train_pairs,
-            &[],
-            &cfg.train,
-            masking,
-        )
-    });
+    let (mut model, _) = trail_gnn::train_sage_masked(
+        &mut rng,
+        &csr,
+        &mut x_train,
+        sage_cfg,
+        &train_pairs,
+        &[],
+        &cfg.train,
+        masking,
+    );
 
     // Inference input: train labels visible, test labels masked.
     let x_test = trail::embed::assemble_gnn_input(&sys.tkg, emb, &train_pairs);
@@ -1092,22 +775,6 @@ pub fn quant(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &m
         quant_ns = quant_ns.min(t.elapsed().as_nanos() as f64);
     }
     let speedup = f32_ns / quant_ns;
-    rec.record("quant_forward_f32", f32_ns / 1e9);
-    rec.record("quant_forward_i8", quant_ns / 1e9);
-    rec.record_taxonomy(
-        "quant",
-        serde_json::json!({
-            "max_abs_logit_err": max_abs_err as f64,
-            "argmax_agreement": agreement,
-            "test_events": n_test as u64,
-            "acc_f32": correct_f32 as f64 / n_test as f64,
-            "acc_i8": correct_q as f64 / n_test as f64,
-            "forward_f32_ns": f32_ns,
-            "forward_i8_ns": quant_ns,
-            "speedup": speedup,
-        }),
-    );
-
     row(
         "max |logit err|",
         "—",
@@ -1161,24 +828,23 @@ pub fn quant(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings, rec: &m
 /// smaller than the wide one (`compact_ratio <= 0.6`). The 8-thread
 /// speedup (>=2x) is only *gated* when the machine has the cores to
 /// show it (the `cores` field records that).
-pub fn scale_bench(opts: &RunOptions, rec: &mut BenchRecorder) -> bool {
+pub fn scale_bench(opts: &RunOptions) -> bool {
     header(
         "scale-bench",
         "sharded parallel ingest + compact graph storage",
     );
     let mut wcfg = WorldConfig::default().scaled(opts.scale);
     wcfg.seed = opts.seed;
-    wcfg.transient_fault_prob = opts.transient_fault_prob;
-    let world = rec.time("scale_world_gen", || Arc::new(World::generate(wcfg)));
+    let world = Arc::new(World::generate(wcfg));
     let client = OsintClient::new(Arc::clone(&world));
     let cutoff = world.config.cutoff_day;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // Sequential reference: the exact single-threaded build path.
     let allocs0 = trail_obs::alloc::allocation_count();
-    let (seq, seq_secs) = rec.time_with("scale_sequential_build", || {
-        TrailSystem::build(client.clone(), cutoff)
-    });
+    let t = Instant::now();
+    let seq = TrailSystem::build(client.clone(), cutoff);
+    let seq_secs = t.elapsed().as_secs_f64();
     let seq_allocs = trail_obs::alloc::allocation_count() - allocs0;
     let events = seq.tkg.events.len();
     let seq_bytes = trail_graph::persist::to_bytes(&seq.tkg.graph);
@@ -1199,9 +865,9 @@ pub fn scale_bench(opts: &RunOptions, rec: &mut BenchRecorder) -> bool {
     let mut levels = Vec::new();
     for &threads in &[1usize, 2, 8] {
         let allocs0 = trail_obs::alloc::allocation_count();
-        let (sys, secs) = rec.time_with(&format!("scale_sharded_t{threads}"), || {
-            TrailSystem::build_with_shards(client.clone(), cutoff, N_SHARDS, threads)
-        });
+        let t = Instant::now();
+        let sys = TrailSystem::build_with_shards(client.clone(), cutoff, N_SHARDS, threads);
+        let secs = t.elapsed().as_secs_f64();
         let allocs = trail_obs::alloc::allocation_count() - allocs0;
         let equal = sys.ingest_stats == seq.ingest_stats
             && trail_graph::persist::to_bytes(&sys.tkg.graph) == seq_bytes;
@@ -1272,7 +938,6 @@ pub fn scale_bench(opts: &RunOptions, rec: &mut BenchRecorder) -> bool {
         "seed": opts.seed,
         "scale": opts.scale as f64,
         "quick": opts.quick,
-        "faults": opts.transient_fault_prob as f64,
         "cores": cores,
         "pool_threads": trail_linalg::pool::num_threads(),
         "events": events,
@@ -1313,47 +978,4 @@ pub fn scale_bench(opts: &RunOptions, rec: &mut BenchRecorder) -> bool {
         }
     }
     ok
-}
-
-#[cfg(test)]
-mod tests {
-    use super::BenchRecorder;
-
-    #[test]
-    fn recorder_accumulates_and_serialises() {
-        let mut rec = BenchRecorder::new();
-        rec.set_meta("threads", 4u64);
-        rec.set_meta("threads", 8u64); // last write wins
-        rec.record("stage_a", 1.5);
-        rec.record("stage_a", 0.5); // repeats accumulate
-        let v = rec.time("stage_b", || 7);
-        assert_eq!(v, 7);
-        rec.record_taxonomy("setup_tkg", serde_json::json!({"linked": 3}));
-        rec.record_taxonomy("setup_tkg", serde_json::json!({"linked": 5})); // last wins
-        let json = rec.to_json();
-        assert_eq!(json["threads"], 8);
-        assert_eq!(json["ingest_taxonomy"]["setup_tkg"]["linked"], 5);
-        let a = json["stages_seconds"]["stage_a"].as_f64().expect("stage_a");
-        assert!((a - 2.0).abs() < 1e-9);
-        assert!(json["stages_seconds"]["stage_b"].as_f64().expect("stage_b") >= 0.0);
-    }
-
-    #[test]
-    fn recorder_embeds_stage_metrics_delta() {
-        trail_obs::set_enabled(true);
-        let mut rec = BenchRecorder::new();
-        let v = rec.time("obs_stage", || {
-            trail_obs::counter_add("bench.test_counter", 3);
-            11
-        });
-        assert_eq!(v, 11);
-        // A second run of the same stage merges into the same snapshot.
-        rec.time("obs_stage", || {
-            trail_obs::counter_add("bench.test_counter", 2)
-        });
-        let json = rec.to_json();
-        let metrics = &json["metrics"]["obs_stage"];
-        assert_eq!(metrics["counters"]["bench.test_counter"].as_u64(), Some(5));
-        assert_eq!(metrics["spans"]["obs_stage"]["count"].as_u64(), Some(2));
-    }
 }

@@ -149,23 +149,6 @@ impl IngestStats {
         }
         (self.missed_transient + self.breaker_rejected) as f64 / queries as f64
     }
-
-    /// The taxonomy as a JSON object (what `BENCH_repro.json` records
-    /// per stage).
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "first_order": self.first_order,
-            "secondary": self.secondary,
-            "edges": self.edges,
-            "linked": self.linked,
-            "missed_permanent": self.missed_permanent,
-            "missed_transient": self.missed_transient,
-            "retried": self.retried,
-            "breaker_rejected": self.breaker_rejected,
-            "dropped_unparseable": self.dropped_unparseable,
-            "backoff_ms": self.backoff_ms,
-        })
-    }
 }
 
 /// Terminal outcome of one fallible analysis query.
@@ -720,12 +703,6 @@ mod tests {
         assert_eq!(total.degradation(), 0.0);
         // Depth-2 references do resolve against existing nodes.
         assert!(total.linked > 0, "no depth-2 links formed");
-        let json = total.to_json();
-        assert_eq!(json["linked"].as_u64().unwrap() as usize, total.linked);
-        assert_eq!(
-            json["missed_permanent"].as_u64().unwrap() as usize,
-            total.missed_permanent
-        );
     }
 
     #[test]
@@ -835,8 +812,6 @@ mod tests {
         };
         assert!((s.degradation() - 0.25).abs() < 1e-12);
         assert_eq!(IngestStats::default().degradation(), 0.0);
-        let json = s.to_json();
-        assert_eq!(json["breaker_rejected"].as_u64(), Some(1));
     }
 
     #[test]

@@ -286,8 +286,8 @@ fn checkpoint_of(
 ///
 /// `kill_after_window: Some(m)` simulates a crash: the run stops right
 /// after window `m`'s checkpoint is durably on disk and returns
-/// `Ok(None)`. The chaos harness drives this from
-/// [`trail_osint::ChaosPlan::kill_windows`].
+/// `Ok(None)`. The chaos drills (`tests/chaos_test.rs`) drive this
+/// from [`trail_osint::ChaosPlan::kill_windows`].
 pub fn run_resumable_study(
     client: OsintClient,
     cutoff: u32,

@@ -76,8 +76,10 @@
 //! persists every pushed report *before* it is processed, and
 //! [`DurableStream`] recovers the surviving prefix after a crash —
 //! truncating at the first torn record — into a state bitwise
-//! identical to an uninterrupted run over that prefix. See the module
-//! docs for the frame format, fsync policies and crash windows.
+//! identical to an uninterrupted run over that prefix, provided ticks
+//! come from the `tick_every` cadence: the log records pushes, not
+//! hand-fired ticks. See the module docs for the frame format, fsync
+//! policies and crash windows.
 
 use std::time::Instant;
 

@@ -522,11 +522,18 @@ impl DurableStream {
     /// surviving record through `rt` — which must be freshly built,
     /// with no events pushed — and return the caught-up stream.
     ///
-    /// The replayed runtime is bitwise-identical (TKG + model
-    /// fingerprints, ledger) to one that pushed exactly the recovered
-    /// records, because pushes are deterministic given the base system
-    /// and config — the property `tests/wal_recovery_test.rs` pins at
-    /// arbitrary kill offsets.
+    /// The log holds pushes only, never ticks: replay re-fires exactly
+    /// the ticks [`StreamRuntime::push`] fires on its own, i.e. those
+    /// of the `tick_every` cadence. With a cadence set, the replayed
+    /// runtime is bitwise-identical (TKG + model fingerprints, ledger)
+    /// to one that pushed exactly the recovered records, because
+    /// pushes are deterministic given the base system and config — the
+    /// property `tests/wal_recovery_test.rs` pins at arbitrary kill
+    /// offsets. A stream ticked by hand (`tick_every: None`, the
+    /// setting perfbench and the monthly study use) recovers with no
+    /// tick fired: the replayed TKG and ledger match, but the model is
+    /// the base one and every recovered event is still pending. Call
+    /// [`Self::tick`] after recovery to train on them.
     pub fn recover(
         wal_cfg: WalConfig,
         mut rt: StreamRuntime,
@@ -561,7 +568,9 @@ impl DurableStream {
     }
 
     /// Fire a tick (see [`StreamRuntime::tick`]), honouring the
-    /// `OnTick` fsync barrier.
+    /// `OnTick` fsync barrier. The tick itself is not logged, so
+    /// [`Self::recover`] does not replay it: only cadence ticks (those
+    /// `push` fires under `tick_every`) come back after a crash.
     pub fn tick(&mut self) -> Result<Option<TickReport>, WalError> {
         let report = self.rt.tick();
         self.tick_barrier()?;

@@ -10,9 +10,9 @@
 //! * **Histograms** — fixed-bucket latency/size distributions fed via
 //!   [`observe`] (see [`Histogram`]).
 //!
-//! [`snapshot`] captures everything as a [`MetricsSnapshot`] — sorted,
-//! serializable, and comparable — which `trail-bench` embeds per stage
-//! in `BENCH_repro.json`.
+//! [`snapshot`] captures everything as a [`MetricsSnapshot`] — sorted
+//! and comparable — which `repro --trace` renders as a tree and
+//! perfbench reads while it times serving.
 //!
 //! Threading: span nesting state is thread-local, so guards on worker
 //! threads (the PR-1 pool) form their own trees without locking; the

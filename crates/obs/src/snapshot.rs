@@ -1,4 +1,4 @@
-//! Serializable point-in-time views of the registry.
+//! Point-in-time views of the registry.
 
 /// Aggregate statistics for one span path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,96 +153,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Merge another snapshot into this one (sums counts, values and
-    /// bucket counts; takes min/max of the span extrema).
-    pub fn absorb(&mut self, other: &Self) {
-        for s in &other.spans {
-            match self.spans.iter_mut().find(|m| m.path == s.path) {
-                Some(m) => {
-                    m.count += s.count;
-                    m.total_ns += s.total_ns;
-                    m.min_ns = if m.min_ns == 0 {
-                        s.min_ns
-                    } else {
-                        m.min_ns.min(s.min_ns.max(1))
-                    };
-                    m.max_ns = m.max_ns.max(s.max_ns);
-                }
-                None => self.spans.push(s.clone()),
-            }
-        }
-        for c in &other.counters {
-            match self.counters.iter_mut().find(|m| m.name == c.name) {
-                Some(m) => m.value += c.value,
-                None => self.counters.push(c.clone()),
-            }
-        }
-        for h in &other.histograms {
-            match self
-                .histograms
-                .iter_mut()
-                .find(|m| m.name == h.name && m.bounds == h.bounds)
-            {
-                Some(m) => {
-                    for (a, b) in m.counts.iter_mut().zip(&h.counts) {
-                        *a += *b;
-                    }
-                    m.sum += h.sum;
-                }
-                None => self.histograms.push(h.clone()),
-            }
-        }
-        self.spans.sort_by(|a, b| a.path.cmp(&b.path));
-        self.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-    }
-
-    /// The snapshot as a JSON object, built by hand.
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut spans = serde_json::Map::new();
-        for s in &self.spans {
-            let mut o = serde_json::Map::new();
-            o.insert("count".to_string(), serde_json::Value::from(s.count));
-            o.insert("total_ns".to_string(), serde_json::Value::from(s.total_ns));
-            o.insert("min_ns".to_string(), serde_json::Value::from(s.min_ns));
-            o.insert("max_ns".to_string(), serde_json::Value::from(s.max_ns));
-            spans.insert(s.path.clone(), serde_json::Value::Object(o));
-        }
-        let mut counters = serde_json::Map::new();
-        for c in &self.counters {
-            counters.insert(c.name.clone(), serde_json::Value::from(c.value));
-        }
-        let mut hists = serde_json::Map::new();
-        for h in &self.histograms {
-            let mut o = serde_json::Map::new();
-            o.insert(
-                "bounds".to_string(),
-                serde_json::Value::Array(
-                    h.bounds
-                        .iter()
-                        .map(|&b| serde_json::Value::from(b))
-                        .collect(),
-                ),
-            );
-            o.insert(
-                "counts".to_string(),
-                serde_json::Value::Array(
-                    h.counts
-                        .iter()
-                        .map(|&c| serde_json::Value::from(c))
-                        .collect(),
-                ),
-            );
-            o.insert("sum".to_string(), serde_json::Value::from(h.sum));
-            hists.insert(h.name.clone(), serde_json::Value::Object(o));
-        }
-        let mut root = serde_json::Map::new();
-        root.insert("spans".to_string(), serde_json::Value::Object(spans));
-        root.insert("counters".to_string(), serde_json::Value::Object(counters));
-        root.insert("histograms".to_string(), serde_json::Value::Object(hists));
-        serde_json::Value::Object(root)
-    }
-
     /// Render the span hierarchy as an indented tree, followed by
     /// counters and histograms — the output of `repro --trace`.
     pub fn render_tree(&self) -> String {
@@ -351,31 +261,6 @@ mod tests {
         let h = d.histogram("h").unwrap();
         assert_eq!(h.counts, vec![0, 2]);
         assert_eq!(h.sum, 40);
-    }
-
-    #[test]
-    fn absorb_merges_and_sorts() {
-        let mut a = snap();
-        let b = snap();
-        a.absorb(&b);
-        assert_eq!(a.spans[0].count, 4);
-        assert_eq!(a.spans[0].total_ns, 200);
-        assert_eq!(a.counter("c"), 14);
-        assert_eq!(a.histogram("h").unwrap().counts, vec![6, 2]);
-        assert!(a.spans.windows(2).all(|w| w[0].path <= w[1].path));
-    }
-
-    #[test]
-    fn json_shape_has_three_sections() {
-        let v = snap().to_json();
-        match v {
-            serde_json::Value::Object(o) => {
-                assert!(o.get("spans").is_some());
-                assert!(o.get("counters").is_some());
-                assert!(o.get("histograms").is_some());
-            }
-            _ => panic!("snapshot JSON must be an object"),
-        }
     }
 
     #[test]

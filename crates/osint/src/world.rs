@@ -1217,14 +1217,14 @@ impl Generator {
     }
 }
 
-/// A deterministic fault plan for the chaos harness.
+/// A deterministic fault plan for the chaos drills.
 ///
 /// Derived entirely from one seed by integer mixing (no RNG crate
-/// involved), so the same `--chaos SEED` produces the same faults, the
-/// same mid-study kill points and the same snapshot-corruption drill on
+/// involved), so the same seed produces the same faults, the same
+/// mid-study kill points and the same snapshot-corruption offsets on
 /// every machine. The plan stays deliberately coarse: it perturbs the
-/// *world's* fault knobs and names where to crash/corrupt; the harness
-/// decides what to assert.
+/// *world's* fault knobs and names where to crash/corrupt; the tests
+/// that drive it (`tests/chaos_test.rs`) decide what to assert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPlan {
     /// The seed this plan was derived from.

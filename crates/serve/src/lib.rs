@@ -43,16 +43,6 @@ mod tests {
     use trail_linalg::Matrix;
     use trail_osint::{BreakerConfig, CircuitBreaker};
 
-    /// Serialize the tests that issue requests through a runtime: they
-    /// bump the process-global `serve.*` counters, and a test that
-    /// reconciles those counters must not see a sibling's requests.
-    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let g = GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        trail_obs::set_enabled(true);
-        g
-    }
-
     /// A tiny hand-built TKG: two labelled events sharing IOCs, plus an
     /// unrelated third event, over 3 classes.
     fn tiny_tkg() -> Tkg {
@@ -244,6 +234,37 @@ mod tests {
         assert_eq!(a1, a2, "bitwise-identical across replicas and history");
     }
 
+    /// Tied scores rank by ascending class id. A last layer of zero
+    /// weights and bias (the i8 quantizer maps an all-zero row to scale
+    /// 0) gives every member zero logits, so every class scores
+    /// exactly `1/k`.
+    #[test]
+    fn tied_scores_rank_by_ascending_class_id() {
+        let tkg = tiny_tkg();
+        let mut frozen = tiny_frozen(&tkg);
+        let (root, neigh, bias) = frozen.layers.last_mut().expect("a last layer");
+        for w in [root, neigh, bias] {
+            *w = Matrix::zeros(w.rows(), w.cols());
+        }
+        let b = ServeBundle::freeze(&tkg, &frozen).expect("valid bundle");
+        let mut model = b.instantiate_model();
+        let q = [key(IocKind::Ip, "1.1.1.1")];
+        let a = b.attribute(&mut model, &q, &QueryLimits::default());
+        let k = tkg.n_classes();
+        assert_eq!(k, 3);
+        let third = a.ranked[0].1;
+        assert!((third - 1.0 / k as f32).abs() < 1e-6, "score {third}");
+        assert!(
+            a.ranked
+                .iter()
+                .all(|&(_, s)| s.to_bits() == third.to_bits()),
+            "scores must tie exactly: {:?}",
+            a.ranked
+        );
+        let ids: Vec<u16> = a.ranked.iter().map(|&(c, _)| c).collect();
+        assert_eq!(ids, vec![0, 1, 2], "ties rank by ascending class id");
+    }
+
     #[test]
     fn member_cap_truncates_deterministically() {
         let b = tiny_bundle();
@@ -261,7 +282,6 @@ mod tests {
 
     #[test]
     fn runtime_sheds_load_while_breaker_is_open_and_recovers() {
-        let _g = obs_lock();
         let bundle = Arc::new(tiny_bundle());
         let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
             failure_threshold: 1,
@@ -285,7 +305,6 @@ mod tests {
 
     #[test]
     fn concurrent_installs_get_distinct_consecutive_generations() {
-        let _g = obs_lock();
         let bundle = Arc::new(tiny_bundle());
         let breaker = Arc::new(CircuitBreaker::new(BreakerConfig::default()));
         let rt = ServeRuntime::new(Arc::clone(&bundle), breaker, RuntimeConfig::default());

@@ -83,14 +83,11 @@ pub enum Outcome {
     Failed(&'static str),
 }
 
-/// One request's result plus its wall-clock latency and the bundle
-/// generation that served it.
+/// One request's result plus the bundle generation that served it.
 #[derive(Debug, Clone)]
 pub struct Response {
     /// What happened.
     pub outcome: Outcome,
-    /// End-to-end handler latency in microseconds.
-    pub latency_us: u64,
     /// The generation pinned for this request. Stamped on *every*
     /// outcome — rejected requests too — so a swap boundary is visible
     /// in the response stream itself.
@@ -289,15 +286,13 @@ impl ServeRuntime {
                 Outcome::Ranked(attribution)
             }
         };
-        let latency_us = start.elapsed().as_micros() as u64;
         trail_obs::observe(
             "serve.latency_us",
             trail_obs::bounds::SERVE_LATENCY_US,
-            latency_us,
+            start.elapsed().as_micros() as u64,
         );
         Response {
             outcome,
-            latency_us,
             generation: gen.gen,
         }
     }

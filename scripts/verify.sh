@@ -3,26 +3,19 @@
 # Run from the repository root.
 #
 #   scripts/verify.sh            tier-1 gate
-#   scripts/verify.sh --chaos    tier-1 gate + corrupted-checkpoint smokes
 #   scripts/verify.sh --perf     tier-1 gate + benches
 #
 # Every invariant has exactly one checker, and every test runs once.
 #
 # Tier 1 builds the workspace, runs every test once (the seeded chaos
-# drills of tests/chaos_test.rs, the kill-at-any-byte WAL drills of
+# drills of tests/chaos_test.rs, which also refuse corrupted study
+# checkpoints, the kill-at-any-byte WAL drills of
 # tests/wal_recovery_test.rs, the live re-freeze + hot-swap drill of
 # tests/hot_swap_test.rs, the stream == batch suite and the
 # zero-allocation / study-oracle tests included), then runs the
 # `#[ignore]`d tests only, and the quickstart and explain_attribution
 # examples; clippy, rustfmt and rustdoc (a broken intra-doc link, such
 # as a public doc naming a private item, fails it) must be clean.
-#
-# The chaos tier adds what no test covers: `repro --resume` must
-# reject two corrupted checkpoints with a typed error, never a panic —
-# garbage behind the TSC1 magic, and a real checkpoint with one
-# payload byte flipped, which only the checksum can catch. And the
-# Fig. 7/8 tables `repro fig8` prints must equal those of
-# `repro fig8 --resume` into a fresh directory: one RNG policy.
 #
 # The perf tier runs the benches, kernels last: its matmul geomean
 # sits on the 1.5x bar and fails about one run in three on a 2-vCPU
@@ -58,11 +51,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C
 
-run_chaos=0
 run_perf=0
 for arg in "$@"; do
   case "$arg" in
-    --chaos) run_chaos=1 ;;
     --perf) run_perf=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
@@ -92,67 +83,11 @@ cargo fmt --all -- --check
 echo "== rustdoc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-if [ "$run_chaos" -eq 1 ]; then
-  echo "== chaos tier: corrupted-snapshot resume smokes =="
-  smoke_dir="$(mktemp -d)"
-  trap 'rm -rf "$smoke_dir"' EXIT
-  fig8() { # $@ = extra flags
-    cargo run --release -p trail-bench --bin repro -- fig8 --quick --scale 0.05 "$@" 2>&1
-  }
-  resume_fig8() { # $1 = checkpoint dir
-    fig8 --resume "$1"
-  }
-  # The Fig. 7/8 tables of a fig8 run: from the Fig. 7 heading up to
-  # the next bracketed status line.
-  study_tables() {
-    sed -n '/^Fig\. 7/,/^\[/{/^\[/!p}'
-  }
-  # Resuming from checkpoint dir $1 must fail with a typed error.
-  expect_clean_rejection() { # $1 = checkpoint dir, $2 = case name
-    local out status
-    set +e
-    out="$(resume_fig8 "$1")"
-    status=$?
-    set -e
-    if [ "$status" -eq 0 ]; then
-      echo "FAIL: repro --resume accepted a $2 checkpoint" >&2
-      exit 1
-    fi
-    if printf '%s' "$out" | grep -q 'panicked'; then
-      echo "FAIL: $2 checkpoint caused a panic instead of a typed error" >&2
-      printf '%s\n' "$out" >&2
-      exit 1
-    fi
-    echo "$2 checkpoint rejected cleanly (exit $status)"
-  }
-  # Garbage after the magic: the header check (version) refuses it.
-  mkdir "$smoke_dir/garbage"
-  printf 'TSC1 this is not a valid checkpoint payload' > "$smoke_dir/garbage/study.ckpt"
-  expect_clean_rejection "$smoke_dir/garbage" "garbage"
-  # A real checkpoint with one payload byte flipped: the header passes,
-  # so the checksum over the payload must refuse it.
-  mkdir "$smoke_dir/flipped"
-  resumed="$(resume_fig8 "$smoke_dir/flipped" | study_tables)"
-  plain="$(fig8 | study_tables)"
-  if [ -z "$plain" ] || [ "$plain" != "$resumed" ]; then
-    echo "FAIL: repro fig8 and repro fig8 --resume print different studies" >&2
-    diff <(printf '%s\n' "$plain") <(printf '%s\n' "$resumed") >&2 || true
-    exit 1
-  fi
-  echo "repro fig8 == repro fig8 --resume (Fig. 7/8 tables)"
-  ckpt="$smoke_dir/flipped/study.ckpt"
-  byte="$(od -An -tu1 -j100 -N1 "$ckpt" | tr -d ' ')"
-  printf "$(printf '\\%03o' $((byte ^ 0x40)))" \
-    | dd of="$ckpt" bs=1 seek=100 count=1 conv=notrunc 2>/dev/null
-  expect_clean_rejection "$smoke_dir/flipped" "payload-flipped"
-fi
-
 if [ "$run_perf" -eq 1 ]; then
   cargo build --release -p trail-bench --bin repro --bin kernels
   bin_dir="$PWD/target/release"
   perf_dir="$(mktemp -d)"
-  # May follow the chaos tier's trap; clean up both temp dirs.
-  trap 'rm -rf "${smoke_dir:-}" "$perf_dir"' EXIT
+  trap 'rm -rf "$perf_dir"' EXIT
 
   # A top-level numeric field of a pretty-printed BENCH_*.json.
   json_field() { # $1 = file, $2 = field

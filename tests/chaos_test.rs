@@ -1,19 +1,19 @@
 //! Deterministic chaos drills over the fault-tolerance runtime.
 //!
 //! Each test derives its faults from a fixed [`ChaosPlan`] seed, so
-//! failures replay exactly (`repro --chaos SEED` runs the same drill at
-//! benchmark scale). Three seeds cover the plan space:
+//! failures replay exactly. This file is the one checker of the
+//! crash-safe study's contracts. Three seeds cover the plan space:
 //!
 //! * seed 1 — survivable feed (55% transient faults), kills at windows
-//!   0 and 2: the kill-and-resume equivalence drill.
+//!   0 and 2: the kill-and-resume equivalence drill, which then hands
+//!   the resume a bit-flipped and a garbage checkpoint.
 //! * seed 4 — fully dead feed: the degradation-invariant drill.
 //! * seed 6 — survivable feed, late kill points: plan shape checks and
 //!   the snapshot-corruption drill share it with the other two.
 //!
-//! The invariants asserted here are the chaos harness's acceptance
-//! criteria: a dead feed degrades the TKG but never wedges or corrupts
-//! the pipeline; crash-resume is bitwise-exact; damaged snapshots are
-//! rejected, never loaded.
+//! The invariants asserted here: a dead feed degrades the TKG but
+//! never wedges or corrupts the pipeline; crash-resume is
+//! bitwise-exact; damaged snapshots are rejected, never loaded.
 
 mod common;
 
@@ -163,7 +163,8 @@ fn dead_feed_degrades_without_wedging() {
 /// Kill-and-resume equivalence (chaos seed 1): killing the study at
 /// every window boundary the plan names and resuming from the
 /// checkpoint yields a `StudyOutput` bitwise-identical to the
-/// uninterrupted run — under a breaker-armed, 55%-faulty feed.
+/// uninterrupted run — under a breaker-armed, 55%-faulty feed. A
+/// resume from a damaged checkpoint then fails with `Err`.
 #[test]
 fn kill_and_resume_under_chaos_is_bitwise_identical() {
     let _g = obs_lock();
