@@ -108,6 +108,18 @@ fn gnn_learns_and_beats_random() {
     let (acc, _) = scores.acc_mean_std();
     let random = 1.0 / sys.tkg.n_classes() as f64;
     assert!(acc > random * 1.2, "GNN acc {acc} vs random {random}");
+    // Per-fold scores, bit for bit. The world and every model draw come
+    // from the in-repo `rand` stand-in, so these are that generator's
+    // bits; re-pin only for a change that means to move the GNN fold loop.
+    let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&scores.acc),
+        [0x3fde_b851_eb85_1eb8, 0x3fd6_42c8_590b_2164]
+    );
+    assert_eq!(
+        bits(&scores.bacc),
+        [0x3fda_e38e_38e3_8e39, 0x3fd2_db6d_b6db_6db7]
+    );
 }
 
 #[test]
