@@ -20,10 +20,11 @@
 //! not >=40% smaller than the wide one, or a machine with >=8 cores
 //! shows less than a 2x 8-thread speedup (see DESIGN.md §15).
 //!
-//! `quant` trains one Table-IV fold and compares f32 inference against
-//! the i8-quantized forward path: max-abs logit error, argmax
-//! agreement and test accuracy on the held-out events, and min-of-N
-//! per-forward wall clock, printed as table rows.
+//! `quant` trains a 2-layer GNN on the first Table-IV fold's whole
+//! train fold and compares f32 inference against the i8-quantized
+//! forward path: max-abs logit error, argmax agreement and test
+//! accuracy on the held-out events, and min-of-N per-forward wall
+//! clock, printed as table rows.
 //!
 //! Serving and streaming are checked by tier-1 tests
 //! (`tests/serve_test.rs`, `tests/stream_equivalence_test.rs`) and
@@ -52,6 +53,10 @@ use trail_bench::RunOptions;
 /// `BENCH_scale.json` are real measurements rather than 0.
 #[global_allocator]
 static ALLOC: trail_obs::alloc::CountingAllocator = trail_obs::alloc::CountingAllocator;
+
+/// Every experiment `run` dispatches, as `usage` lists them.
+const EXPERIMENTS: &str =
+    "table2|table3|table4|fig3|fig4|fig7|fig8|fig9|fig10|sec5|case|ablations|quant|scale-bench|all";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,6 +98,11 @@ fn main() {
             name => experiment = name.to_owned(),
         }
         i += 1;
+    }
+    // Checked before any world is built.
+    if !EXPERIMENTS.split('|').any(|e| e == experiment) {
+        eprintln!("unknown experiment {experiment:?}");
+        usage::<()>();
     }
 
     let total = std::time::Instant::now();
@@ -169,18 +179,14 @@ fn run(experiment: &str, opts: &RunOptions, resume_dir: Option<&str>) -> bool {
             trail_bench::case(opts.build_system(), opts);
             trail_bench::fig7_fig8(opts.build_system(), opts);
         }
-        other => {
-            eprintln!("unknown experiment {other:?}");
-            usage::<()>();
-        }
+        other => unreachable!("{other:?} is not in EXPERIMENTS"),
     }
     true
 }
 
 fn usage<T>() -> T {
     eprintln!(
-        "usage: repro <table2|table3|table4|fig3|fig4|fig7|fig8|fig9|fig10|sec5|case|ablations|quant|scale-bench|all> \
-         [--scale S] [--seed N] [--folds K] [--resume DIR] [--quick] [--trace]"
+        "usage: repro <{EXPERIMENTS}> [--scale S] [--seed N] [--folds K] [--resume DIR] [--quick] [--trace]"
     );
     std::process::exit(2);
 }

@@ -608,12 +608,15 @@ pub fn fig10(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
     // 3-layer model).
     let layers = if opts.quick { 2 } else { 3 };
     let gnn_cfg = opts.gnn_settings();
-    let mut model =
-        trail::freeze::train_frozen_from(&mut rng, &sys.tkg, emb.clone(), &gnn_cfg, layers)
-            .instantiate();
-    let pairs: Vec<(trail_graph::NodeId, u16)> =
-        sys.tkg.events.iter().map(|e| (e.node, e.apt)).collect();
-    let x = trail::embed::assemble_gnn_input(&sys.tkg, emb, &pairs);
+    let (mut model, x) = attribute::train_event_gnn(
+        &mut rng,
+        &sys.tkg,
+        emb,
+        &sys.tkg.event_pairs(),
+        &[],
+        layers,
+        &gnn_cfg,
+    );
     // Explain the busiest correctly-predicted event.
     let proba = model.predict_proba(&csr, &x);
     let event = sys
@@ -687,11 +690,14 @@ pub fn fig10(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
 }
 
 /// `repro quant` — i8-quantized inference vs f32 on the attribution
-/// GNN (DESIGN.md §11). Trains one fold exactly as Table IV does, then
-/// compares `forward` against `forward_quantized` on the test-fold
-/// input: max-abs logit error, argmax agreement on the test events,
-/// test accuracy under both paths, and min-of-N per-forward wall
-/// clock, printed as table rows plus one `[quant]` summary line.
+/// GNN (DESIGN.md §11). Takes the first of Table IV's event folds and
+/// trains a 2-layer GNN on its whole train fold (no validation set is
+/// carved and the fold is not shuffled, unlike Table IV's GNN rows),
+/// then compares `forward` against `forward_quantized` on the input
+/// with the train labels visible: max-abs logit error, argmax
+/// agreement on the test events, test accuracy under both paths, and
+/// min-of-N per-forward wall clock, printed as table rows plus one
+/// `[quant]` summary line.
 pub fn quant(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
     header(
         "quant",
@@ -713,31 +719,9 @@ pub fn quant(sys: &TrailSystem, opts: &RunOptions, emb: &NodeEmbeddings) {
     let train_pairs = pairs(&train_ev);
     let test_pairs = pairs(&test_ev);
 
-    let mut x_train = trail::embed::assemble_gnn_input(&sys.tkg, emb, &train_pairs);
-    let sage_cfg = trail_gnn::SageConfig {
-        input_dim: x_train.cols(),
-        hidden: cfg.hidden,
-        layers: 2,
-        n_classes: sys.tkg.n_classes(),
-        l2_normalize: cfg.l2_normalize,
-    };
-    let masking = trail_gnn::LabelMasking {
-        offset: emb.code_dim + 5,
-        visible_fraction: cfg.label_visible_fraction,
-    };
-    let (mut model, _) = trail_gnn::train_sage_masked(
-        &mut rng,
-        &csr,
-        &mut x_train,
-        sage_cfg,
-        &train_pairs,
-        &[],
-        &cfg.train,
-        masking,
-    );
-
     // Inference input: train labels visible, test labels masked.
-    let x_test = trail::embed::assemble_gnn_input(&sys.tkg, emb, &train_pairs);
+    let (mut model, x_test) =
+        attribute::train_event_gnn(&mut rng, &sys.tkg, emb, &train_pairs, &[], 2, &cfg);
 
     // Accuracy + error metrics (one forward each; also warms the
     // quantized weight cache so the timing loop measures steady state).

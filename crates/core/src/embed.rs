@@ -375,10 +375,17 @@ fn train_on_sparse<R: Rng + ?Sized>(
     }
 }
 
-/// Width of the assembled GNN input:
-/// `code + 5 (node kind) + n_classes (visible label)`.
+/// First column of the visible-label one-hot in a GNN input row. A row
+/// is the node's `code_dim` code columns, its node-kind one-hot
+/// (`NodeKind::ALL.len()` columns), then the label one-hot.
+pub fn label_offset(code_dim: usize) -> usize {
+    code_dim + NodeKind::ALL.len()
+}
+
+/// Width of the assembled GNN input: [`label_offset`] plus one column
+/// per class.
 pub fn gnn_input_dim(code_dim: usize, n_classes: usize) -> usize {
-    code_dim + 5 + n_classes
+    label_offset(code_dim) + n_classes
 }
 
 /// Assemble the GNN input matrix.
@@ -409,7 +416,7 @@ pub fn assemble_gnn_input_from(
     }
     for &(node, label) in visible {
         debug_assert_eq!(tkg.graph.node(node).kind, NodeKind::Event);
-        x[(node.index(), code + 5 + label as usize)] = 1.0;
+        x[(node.index(), label_offset(code) + label as usize)] = 1.0;
     }
     x
 }
@@ -423,7 +430,7 @@ pub fn write_gnn_input_row(row: &mut [f32], code: &[f32], kind: NodeKind, label:
     row[..c].copy_from_slice(code);
     row[c + kind.index()] = 1.0;
     if let Some(label) = label {
-        row[c + 5 + label as usize] = 1.0;
+        row[label_offset(c) + label as usize] = 1.0;
     }
 }
 
@@ -550,15 +557,25 @@ mod tests {
         let (emb, _) = train_autoencoders(&mut rng, &tkg, &cfg);
         let e = tkg.graph.find_node(NodeKind::Event, "r0").unwrap();
         let x = assemble_gnn_input(&tkg, &emb, &[(e, 2)]);
+        // The label block follows the kind block and ends the row.
+        assert_eq!(label_offset(4), 4 + NodeKind::ALL.len());
+        assert_eq!(gnn_input_dim(4, 3), label_offset(4) + 3);
         assert_eq!(x.cols(), gnn_input_dim(4, 3));
-        // Kind one-hot: event = index 0 of the kind block.
-        assert_eq!(x[(e.index(), 4)], 1.0);
-        // Visible label 2 set in the label block.
-        assert_eq!(x[(e.index(), 4 + 5 + 2)], 1.0);
+        // Past the code: kind one-hot (event = index 0), then label 2.
+        let row = x.row(e.index());
+        assert_eq!(row[4..], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
+        assert_eq!(row[label_offset(4) + 2], 1.0);
+        // The training mask hides and restores that same block.
+        let gnn = crate::attribute::GnnEvalConfig::default();
+        assert_eq!(
+            crate::attribute::label_masking(4, &gnn).offset,
+            label_offset(4)
+        );
         // Masked variant: label block all zero.
         let x_masked = assemble_gnn_input(&tkg, &emb, &[]);
-        for c in 0..3 {
-            assert_eq!(x_masked[(e.index(), 4 + 5 + c)], 0.0);
-        }
+        assert_eq!(
+            x_masked.row(e.index())[4..],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        );
     }
 }

@@ -13,13 +13,13 @@
 //! per-layer weight list.
 
 use rand::Rng;
-use trail_gnn::{train_sage_masked, LabelMasking, SageConfig, SageModel};
+use trail_gnn::{SageConfig, SageModel};
 use trail_graph::frame::{put_u32, put_u64, Cursor};
-use trail_graph::{NodeId, PersistError};
+use trail_graph::PersistError;
 use trail_linalg::Matrix;
 use trail_ml::nn::autoencoder::AutoencoderConfig;
 
-use crate::attribute::GnnEvalConfig;
+use crate::attribute::{train_event_gnn, GnnEvalConfig};
 use crate::embed;
 use crate::tkg::Tkg;
 
@@ -195,9 +195,9 @@ pub fn train_frozen<R: Rng + ?Sized>(
     train_frozen_from(rng, tkg, emb, gnn_cfg, layers)
 }
 
-/// [`train_frozen`] reusing already-trained embeddings: the one
-/// base-GNN trainer. The stream's base model and Fig. 10's model train
-/// here too, so every base GNN honours `label_visible_fraction`.
+/// [`train_frozen`] reusing already-trained embeddings: every event
+/// trains [`train_event_gnn`]'s model, which is frozen. The stream's
+/// base model trains here.
 pub fn train_frozen_from<R: Rng + ?Sized>(
     rng: &mut R,
     tkg: &Tkg,
@@ -205,30 +205,8 @@ pub fn train_frozen_from<R: Rng + ?Sized>(
     gnn_cfg: &GnnEvalConfig,
     layers: usize,
 ) -> FrozenModel {
-    let csr = tkg.csr();
-    let pairs: Vec<(NodeId, u16)> = tkg.events.iter().map(|e| (e.node, e.apt)).collect();
-    let mut x = embed::assemble_gnn_input(tkg, &emb, &pairs);
-    let sage_cfg = SageConfig {
-        input_dim: x.cols(),
-        hidden: gnn_cfg.hidden,
-        layers,
-        n_classes: tkg.n_classes(),
-        l2_normalize: gnn_cfg.l2_normalize,
-    };
-    let masking = LabelMasking {
-        offset: emb.code_dim + 5,
-        visible_fraction: gnn_cfg.label_visible_fraction,
-    };
-    let (model, _) = train_sage_masked(
-        rng,
-        &csr,
-        &mut x,
-        sage_cfg,
-        &pairs,
-        &[],
-        &gnn_cfg.train,
-        masking,
-    );
+    let (model, _) = train_event_gnn(rng, tkg, &emb, &tkg.event_pairs(), &[], layers, gnn_cfg);
+    let sage_cfg = *model.config();
     let layers = model
         .weights()
         .iter()

@@ -48,8 +48,9 @@
 //! ## One base model, one RNG policy
 //!
 //! [`StreamRuntime::new`] trains the autoencoders and **one** base GNN
-//! (through [`crate::freeze::train_frozen_from`], the one base-GNN
-//! trainer) from its generator. The stale model is that base model and
+//! (through [`crate::freeze::train_frozen_from`], which trains with
+//! [`crate::attribute::train_event_gnn`], the one event-GNN trainer)
+//! from its generator. The stale model is that base model and
 //! the fresh model starts as a clone of it, so Fig. 8's stale/fresh gap
 //! is paired: at the first non-empty tick the two predict bitwise
 //! alike, and every later difference is the fine-tunes'. The only
@@ -95,9 +96,11 @@ use trail_linalg::Matrix;
 use trail_ml::metrics::{accuracy, balanced_accuracy, ConfusionMatrix};
 use trail_ml::nn::autoencoder::Autoencoder;
 
+use crate::attribute::label_masking;
 use crate::collector::{collect, CollectStats};
 use crate::embed::{
-    gnn_input_dim, train_autoencoders_with_scalers, write_gnn_input_row, CodeCache, SparseScaler,
+    gnn_input_dim, label_offset, train_autoencoders_with_scalers, write_gnn_input_row, CodeCache,
+    SparseScaler,
 };
 use crate::enrich::{Enricher, IngestStats};
 use crate::longitudinal::{stage_rng, MonthResult, StudyConfig, StudyOutput};
@@ -293,8 +296,7 @@ impl StreamRuntime {
         fresh_model: SageModel,
     ) -> Self {
         let code_dim = encoders.first().map_or(0, |ae| ae.code_dim());
-        let base_pairs: Vec<(NodeId, u16)> =
-            sys.tkg.events.iter().map(|e| (e.node, e.apt)).collect();
+        let base_pairs = sys.tkg.event_pairs();
         let fresh_visible = base_pairs.clone();
         let mut rt = Self {
             sys,
@@ -486,7 +488,7 @@ impl StreamRuntime {
         let truth: Vec<u16> = tick_events.iter().map(|&(_, c)| c).collect();
         let targets: Vec<NodeId> = tick_events.iter().map(|&(n, _)| n).collect();
         let csr = self.inc_csr.take().expect("sync just seeded it");
-        let label_base = self.code_dim + 5;
+        let label_base = label_offset(self.code_dim);
 
         // Both predictions and the fine-tune read only the model-depth
         // ball around the tick's events: run them there, on local ids,
@@ -565,10 +567,6 @@ impl StreamRuntime {
         for &(node, label) in &ball_events {
             x_ball[(node.index(), label_base + label as usize)] = 1.0;
         }
-        let masking = trail_gnn::LabelMasking {
-            offset: label_base,
-            visible_fraction: self.cfg.study.gnn.label_visible_fraction,
-        };
         trail_gnn::train::fine_tune_masked(
             &mut stage_rng(self.tick_key, u64::from(month)),
             &mut self.fresh_model,
@@ -576,7 +574,7 @@ impl StreamRuntime {
             &mut x_ball,
             &ball_events,
             &self.cfg.study.fine_tune,
-            masking,
+            label_masking(self.code_dim, &self.cfg.study.gnn),
         );
         self.inc_csr = Some(csr);
 
@@ -607,7 +605,7 @@ impl StreamRuntime {
                 None,
             );
         }
-        let label_base = self.code_dim + 5;
+        let label_base = label_offset(self.code_dim);
         for &(node, label) in &self.fresh_visible {
             if let Some(l) = ball.local(node) {
                 x[(l.index(), label_base + label as usize)] = 1.0;

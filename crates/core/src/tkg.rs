@@ -73,6 +73,11 @@ impl Tkg {
         });
     }
 
+    /// Every event as `(node, APT)`, in ingestion order.
+    pub fn event_pairs(&self) -> Vec<(NodeId, u16)> {
+        self.events.iter().map(|e| (e.node, e.apt)).collect()
+    }
+
     /// Look up an event by report id.
     pub fn event_by_report(&self, report_id: &str) -> Option<&EventInfo> {
         self.events.iter().find(|e| e.report_id == report_id)

@@ -21,7 +21,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::Path;
 
-use trail::embed::write_gnn_input_row;
+use trail::embed::{gnn_input_dim, write_gnn_input_row};
 use trail::freeze::{
     self, check_layers, put_layers, put_matrix, put_sage_config, read_layers, read_matrix,
     read_sage_config, FrozenModel,
@@ -177,7 +177,7 @@ impl ServeBundle {
         if sage_cfg.n_classes != k {
             return Err(malformed(0, "n_classes vs class names"));
         }
-        if sage_cfg.input_dim != code_dim + 5 + k {
+        if sage_cfg.input_dim != gnn_input_dim(code_dim, k) {
             return Err(malformed(0, "input_dim vs code layout"));
         }
         let mut node_inputs: Vec<(NodeKind, Option<u16>)> = graph

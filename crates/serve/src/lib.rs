@@ -74,7 +74,12 @@ mod tests {
                 codes.row_mut(i)[j] = (i * code_dim + j) as f32 * 0.01;
             }
         }
-        let cfg = SageConfig::new(code_dim + 5 + tkg.n_classes(), 8, 2, tkg.n_classes());
+        let cfg = SageConfig::new(
+            trail::embed::gnn_input_dim(code_dim, tkg.n_classes()),
+            8,
+            2,
+            tkg.n_classes(),
+        );
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let model = SageModel::new(&mut rng, cfg);
         let layers = model

@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
-use trail::attribute::{ioc_datasets, IocModelSettings};
-use trail::embed::{assemble_gnn_input, train_autoencoders};
+use trail::attribute::{ioc_datasets, train_event_gnn, GnnEvalConfig, IocModelSettings};
+use trail::embed::train_autoencoders;
 use trail::system::TrailSystem;
 use trail_ml::explain::gbt_beeswarm;
 use trail_ml::nn::autoencoder::AutoencoderConfig;
@@ -57,29 +57,27 @@ fn main() {
         ..Default::default()
     };
     let (emb, _) = train_autoencoders(&mut rng, &system.tkg, &ae_cfg);
-    let pairs: Vec<(trail_graph::NodeId, u16)> =
-        system.tkg.events.iter().map(|e| (e.node, e.apt)).collect();
+    let gnn_cfg = GnnEvalConfig {
+        hidden: 48,
+        train: trail_gnn::TrainConfig {
+            lr: 2e-2,
+            epochs: 150,
+            patience: 0,
+        },
+        val_fraction: 0.0,
+        l2_normalize: true,
+        label_visible_fraction: 0.5,
+        sampled_neighbor_cap: None,
+    };
     let csr = system.tkg.csr();
-    let mut x = assemble_gnn_input(&system.tkg, &emb, &pairs);
-    let sage_cfg = trail_gnn::SageConfig::new(x.cols(), 48, 2, system.tkg.n_classes());
-    let masking = trail_gnn::LabelMasking {
-        offset: emb.code_dim + 5,
-        visible_fraction: 0.5,
-    };
-    let train_cfg = trail_gnn::TrainConfig {
-        lr: 2e-2,
-        epochs: 150,
-        patience: 0,
-    };
-    let (model, _) = trail_gnn::train_sage_masked(
+    let (model, x) = train_event_gnn(
         &mut rng,
-        &csr,
-        &mut x,
-        sage_cfg,
-        &pairs,
+        &system.tkg,
+        &emb,
+        &system.tkg.event_pairs(),
         &[],
-        &train_cfg,
-        masking,
+        2,
+        &gnn_cfg,
     );
 
     let event = system

@@ -13,8 +13,8 @@
 # tests/wal_recovery_test.rs, the live re-freeze + hot-swap drill of
 # tests/hot_swap_test.rs, the stream == batch suite and the
 # zero-allocation / study-oracle tests included), then runs the
-# `#[ignore]`d tests only, and the quickstart and explain_attribution
-# examples; clippy, rustfmt and rustdoc (a broken intra-doc link, such
+# `#[ignore]`d tests only, and the quickstart, explain_attribution and
+# case_study examples; clippy, rustfmt and rustdoc (a broken intra-doc link, such
 # as a public doc naming a private item, fails it) must be clean.
 #
 # The perf tier runs the benches, kernels last: its matmul geomean
@@ -73,6 +73,9 @@ cargo run --release --example quickstart >/dev/null
 
 echo "== explain_attribution smoke =="
 cargo run --release --example explain_attribution >/dev/null
+
+echo "== case_study smoke =="
+cargo run --release --example case_study >/dev/null
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
