@@ -9,16 +9,12 @@
 //!   sec5    case    ablations   quant   scale-bench   all
 //! ```
 //!
-//! `scale-bench` exercises the paper-scale ingest path: one world is
-//! ingested sequentially and then shard-parallel (8 hash shards) at
-//! 1/2/8 worker threads; each sharded build must be bitwise-identical
-//! to the sequential reference with an exactly-equal ingest taxonomy.
-//! It also audits the compact u32 CSR against a pointer-width
-//! reference layout and reports adjacency bytes/node. Results land in
+//! `scale-bench` times the paper-scale sequential TKG build and
+//! audits the compact u32 CSR against a pointer-width reference
+//! layout, reporting adjacency bytes/node. Results land in
 //! `BENCH_scale.json` plus a `[scale-summary]` line; the run exits
-//! non-zero if any equality invariant breaks, the compact layout is
-//! not >=40% smaller than the wide one, or a machine with >=8 cores
-//! shows less than a 2x 8-thread speedup (see DESIGN.md §15).
+//! non-zero if the two layouts disagree or the compact layout is not
+//! >=40% smaller than the wide one (see DESIGN.md §15).
 //!
 //! `quant` trains a 2-layer GNN on the first Table-IV fold's whole
 //! train fold and compares f32 inference against the i8-quantized
@@ -120,8 +116,8 @@ fn main() {
 /// then exits 1).
 fn run(experiment: &str, opts: &RunOptions, resume_dir: Option<&str>) -> bool {
     let _span = trail_obs::span(experiment);
-    // scale-bench builds its own world (several competing ingest
-    // paths); dispatch it before the default system build.
+    // scale-bench times its own world's build; dispatch it before the
+    // default system build.
     if experiment == "scale-bench" {
         return trail_bench::scale_bench(opts);
     }

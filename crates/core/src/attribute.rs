@@ -8,7 +8,7 @@
 //!   under the masked-fold protocol.
 
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use trail_gnn::{LabelMasking, SageConfig, SageModel};
 use trail_graph::NodeId;
 use trail_ioc::IocKind;
@@ -253,89 +253,6 @@ fn preprocess_fold<R: Rng + ?Sized>(
         scaled = smote(rng, &scaled, SmoteConfig::default());
     }
     (scaler, scaled)
-}
-
-/// Tune XGB or RF hyper-parameters with TPE (paper Section VI-A:
-/// "the hyperparameters were optimized using the Tree of Parzen
-/// Estimators (TPE) method provided by Hyperopt").
-///
-/// The objective is negative mean CV accuracy on a *tuning* split;
-/// returns the best settings found (other fields copied from `base`).
-pub fn tune_with_tpe<R: Rng + ?Sized>(
-    rng: &mut R,
-    ds: &IocDataset,
-    model: ModelKind,
-    base: &IocModelSettings,
-    n_trials: usize,
-) -> IocModelSettings {
-    use trail_ml::hyperopt::{ParamSpec, Tpe};
-    let mut tuned = base.clone();
-    match model {
-        ModelKind::Xgb => {
-            let mut tpe = Tpe::new(vec![
-                ("n_rounds".into(), ParamSpec::Int(4, 24)),
-                ("max_depth".into(), ParamSpec::Int(3, 8)),
-                ("learning_rate".into(), ParamSpec::LogUniform(0.05, 0.6)),
-                ("colsample".into(), ParamSpec::Uniform(0.05, 0.5)),
-            ]);
-            let best = {
-                let mut eval_rng = rand::rngs::StdRng::seed_from_u64(rng.gen());
-                tpe.run(rng, n_trials, |v| {
-                    let mut settings = base.clone();
-                    settings.gbt.n_rounds = v[0] as usize;
-                    settings.gbt.max_depth = v[1] as usize;
-                    settings.gbt.learning_rate = v[2];
-                    settings.gbt.colsample = v[3];
-                    let scores = crossval_ioc(&mut eval_rng, ds, ModelKind::Xgb, &settings, 2);
-                    -scores.acc_mean_std().0
-                })
-            };
-            tuned.gbt.n_rounds = best.values[0] as usize;
-            tuned.gbt.max_depth = best.values[1] as usize;
-            tuned.gbt.learning_rate = best.values[2];
-            tuned.gbt.colsample = best.values[3];
-        }
-        ModelKind::Rf => {
-            let mut tpe = Tpe::new(vec![
-                ("n_trees".into(), ParamSpec::Int(8, 64)),
-                ("max_depth".into(), ParamSpec::Int(6, 24)),
-                ("min_samples_leaf".into(), ParamSpec::Int(1, 8)),
-            ]);
-            let best = {
-                let mut eval_rng = rand::rngs::StdRng::seed_from_u64(rng.gen());
-                tpe.run(rng, n_trials, |v| {
-                    let mut settings = base.clone();
-                    settings.forest.n_trees = v[0] as usize;
-                    settings.forest.tree.max_depth = v[1] as usize;
-                    settings.forest.tree.min_samples_leaf = v[2] as usize;
-                    let scores = crossval_ioc(&mut eval_rng, ds, ModelKind::Rf, &settings, 2);
-                    -scores.acc_mean_std().0
-                })
-            };
-            tuned.forest.n_trees = best.values[0] as usize;
-            tuned.forest.tree.max_depth = best.values[1] as usize;
-            tuned.forest.tree.min_samples_leaf = best.values[2] as usize;
-        }
-        ModelKind::Nn => {
-            let mut tpe = Tpe::new(vec![
-                ("lr".into(), ParamSpec::LogUniform(1e-4, 1e-2)),
-                ("epochs".into(), ParamSpec::Int(4, 20)),
-            ]);
-            let best = {
-                let mut eval_rng = rand::rngs::StdRng::seed_from_u64(rng.gen());
-                tpe.run(rng, n_trials, |v| {
-                    let mut settings = base.clone();
-                    settings.mlp.lr = v[0];
-                    settings.mlp.epochs = v[1] as usize;
-                    let scores = crossval_ioc(&mut eval_rng, ds, ModelKind::Nn, &settings, 2);
-                    -scores.acc_mean_std().0
-                })
-            };
-            tuned.mlp.lr = best.values[0];
-            tuned.mlp.epochs = best.values[1] as usize;
-        }
-    }
-    tuned
 }
 
 /// Cross-validate one model family on one IOC dataset (Table III cell).
@@ -776,22 +693,6 @@ mod tests {
         let (acc, _) = scores.acc_mean_std();
         let random = 1.0 / sys.tkg.n_classes() as f64;
         assert!(acc > random, "acc {acc} <= random {random}");
-    }
-
-    #[test]
-    fn tpe_tuning_returns_valid_settings() {
-        let sys = tiny_system();
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut base = IocModelSettings::fast();
-        base.max_samples = 300;
-        let datasets = ioc_datasets(&mut rng, &sys.tkg, base.max_samples);
-        let ds = datasets.iter().max_by_key(|d| d.data.len()).unwrap();
-        let tuned = tune_with_tpe(&mut rng, ds, ModelKind::Rf, &base, 3);
-        assert!((8..=64).contains(&tuned.forest.n_trees));
-        assert!((6..=24).contains(&tuned.forest.tree.max_depth));
-        assert!((1..=8).contains(&tuned.forest.tree.min_samples_leaf));
-        // Non-forest fields untouched.
-        assert_eq!(tuned.gbt.n_rounds, base.gbt.n_rounds);
     }
 
     #[test]

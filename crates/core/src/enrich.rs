@@ -38,13 +38,7 @@
 //!
 //! The query step depends only on the canonical key (outcomes, fault
 //! schedules and gaps are all deterministic per key and attempt), never
-//! on graph state, so its record can be memoised in a `QueryMap` (one
-//! map per IOC kind) and replayed later. The sequential path runs
-//! query-then-apply inline; the sharded build (`crate::shard`) computes
-//! the query maps in parallel and replays them through the *same* apply
-//! code, which is why it is bitwise-identical to the sequential build.
-
-use std::collections::HashMap;
+//! on graph state; only the apply step changes the graph.
 
 use trail_graph::{EdgeKind, NodeId, NodeKind};
 use trail_ioc::{Analysis, Ioc, IocKind};
@@ -166,8 +160,7 @@ enum QueryOutcome {
 
 /// Retry accounting of one query: what [`Enricher`] charged on the way
 /// to the terminal outcome. Charged into an event's [`IngestStats`] at
-/// apply time; all fields are commutative adds, so replaying a memoised
-/// cost yields the same totals as the live query.
+/// apply time.
 #[derive(Debug, Clone, Copy)]
 struct QueryCost {
     retried: usize,
@@ -234,41 +227,11 @@ impl Payload {
     }
 }
 
-/// Memoisable result of one analysis query.
+/// Result of one analysis query, before it touches the graph.
 #[derive(Debug)]
-pub(crate) struct QueryRecord {
+struct QueryRecord {
     cost: QueryCost,
     payload: Option<Payload>,
-}
-
-/// One shard's memoised analysis results: one map per IOC kind
-/// (indexed by `IocKind as usize`), keyed by canonical IOC text, so a
-/// probe borrows the text and allocates nothing. Query outcomes are
-/// pure per key (see the module docs), so a record computed by any
-/// worker equals the record the sequential walk would have produced at
-/// any position.
-#[derive(Debug, Default)]
-pub(crate) struct QueryMap([HashMap<String, QueryRecord>; 3]);
-
-impl QueryMap {
-    /// Number of memoised analyses across all kinds.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.0.iter().map(HashMap::len).sum()
-    }
-}
-
-/// How [`Enricher`] sources its analysis queries during an ingest.
-pub(crate) enum QueryLog<'m> {
-    /// Compute every query live (the plain sequential path).
-    Live,
-    /// Compute live, memoising one record per canonical key — the
-    /// shard workers' mode. Repeat keys are served from the map, which
-    /// is both the dedup win and provably outcome-identical.
-    Record(&'m mut QueryMap),
-    /// Serve queries from a prepared map; a miss falls back to a live
-    /// query, which is identical by purity (the merge replay mode).
-    Replay(&'m QueryMap),
 }
 
 impl<'a> Enricher<'a> {
@@ -290,16 +253,6 @@ impl<'a> Enricher<'a> {
     /// Ingest one collected event: create the event node, attach
     /// first-order IOCs, run two-hop enrichment, store features.
     pub fn ingest(&self, tkg: &mut Tkg, event: &CollectedEvent) -> IngestStats {
-        self.ingest_logged(tkg, event, &mut QueryLog::Live)
-    }
-
-    /// [`Self::ingest`] with an explicit query source (see [`QueryLog`]).
-    pub(crate) fn ingest_logged(
-        &self,
-        tkg: &mut Tkg,
-        event: &CollectedEvent,
-        log: &mut QueryLog<'_>,
-    ) -> IngestStats {
         let _ingest = trail_obs::span("enrich.ingest");
         let mut stats = IngestStats::default();
         let event_node = tkg.graph.upsert_node(NodeKind::Event, &event.report.id);
@@ -334,7 +287,7 @@ impl<'a> Enricher<'a> {
         {
             let _pass = trail_obs::span("depth1");
             for (node, ioc) in &first_order {
-                self.enrich(tkg, *node, ioc, true, &mut secondary, &mut stats, log);
+                self.enrich(tkg, *node, ioc, true, &mut secondary, &mut stats);
             }
         }
 
@@ -344,7 +297,7 @@ impl<'a> Enricher<'a> {
         {
             let _pass = trail_obs::span("depth2");
             for (node, ioc) in &secondary {
-                self.enrich(tkg, *node, ioc, false, &mut sink, &mut stats, log);
+                self.enrich(tkg, *node, ioc, false, &mut sink, &mut stats);
             }
         }
         stats.secondary = secondary.len();
@@ -420,7 +373,6 @@ impl<'a> Enricher<'a> {
     /// the analysis names. `expand` is true at depth 1, where linked
     /// IOCs become secondary nodes; at depth 2 only nodes already in
     /// the graph are linked (the two-hop cap).
-    #[allow(clippy::too_many_arguments)]
     fn enrich(
         &self,
         tkg: &mut Tkg,
@@ -429,7 +381,6 @@ impl<'a> Enricher<'a> {
         expand: bool,
         secondary: &mut Vec<(NodeId, Ioc)>,
         stats: &mut IngestStats,
-        log: &mut QueryLog<'_>,
     ) {
         // Lexical relation, no lookup needed: a URL is HostedOn its domain.
         if let Ioc::Url(url) = ioc {
@@ -442,28 +393,8 @@ impl<'a> Enricher<'a> {
                 self.link(tkg, node, &link, expand, secondary, stats);
             }
         }
-        let text = ioc.text();
-        match log {
-            QueryLog::Live => {
-                let rec = self.query(!tkg.has_features(node), tkg, ioc);
-                self.apply(tkg, node, expand, &rec, secondary, stats);
-            }
-            QueryLog::Record(map) => {
-                let recs = &mut map.0[ioc.kind() as usize];
-                if !recs.contains_key(text) {
-                    let rec = self.query(true, tkg, ioc);
-                    recs.insert(text.to_owned(), rec);
-                }
-                self.apply(tkg, node, expand, &recs[text], secondary, stats);
-            }
-            QueryLog::Replay(map) => match map.0[ioc.kind() as usize].get(text) {
-                Some(rec) => self.apply(tkg, node, expand, rec, secondary, stats),
-                None => {
-                    let rec = self.query(true, tkg, ioc);
-                    self.apply(tkg, node, expand, &rec, secondary, stats);
-                }
-            },
-        }
+        let rec = self.query(!tkg.has_features(node), tkg, ioc);
+        self.apply(tkg, node, expand, &rec, secondary, stats);
     }
 
     /// Pure query step for one IOC: analysis under retries, linked
@@ -677,10 +608,9 @@ mod tests {
         for e in events.iter().take(20) {
             enricher.ingest(&mut tkg, e);
         }
-        let hosted = tkg.graph.edge_counts_by_kind()[EdgeKind::HostedOn.index()];
-        assert!(hosted > 0, "no HostedOn edges");
-        let in_group = tkg.graph.edge_counts_by_kind()[EdgeKind::InGroup.index()];
-        assert!(in_group > 0, "no InGroup (ASN) edges");
+        let has = |kind| tkg.graph.edges().iter().any(|e| e.kind == kind);
+        assert!(has(EdgeKind::HostedOn), "no HostedOn edges");
+        assert!(has(EdgeKind::InGroup), "no InGroup (ASN) edges");
     }
 
     #[test]
@@ -757,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_feed_with_breaker_yields_partial_graph_and_exact_accounting() {
+    fn dead_feed_behind_breaker_yields_partial_graph_and_exact_accounting() {
         use trail_osint::{BreakerConfig, CircuitBreaker};
         // Every attempt faults: enrichment must still complete, every
         // query must land in exactly one recoverable-failure bucket,
@@ -766,7 +696,8 @@ mod tests {
         cfg.transient_fault_prob = 1.0;
         let world = Arc::new(World::generate(cfg));
         let breaker = Arc::new(CircuitBreaker::new(BreakerConfig::default()));
-        let client = OsintClient::with_breaker(world, Arc::clone(&breaker));
+        let mut client = OsintClient::new(world);
+        client.set_breaker(Arc::clone(&breaker));
         let reports = client.events_before(client.world().config.cutoff_day);
         let registry = AptRegistry::new(client.world().config.n_apts);
         let (events, _) = collect(&reports, &registry);
@@ -846,52 +777,5 @@ mod tests {
             assert_eq!(stats.edges, edges, "expand={expand}");
             assert_eq!(secondary.len(), queued, "expand={expand}");
         }
-    }
-
-    #[test]
-    fn record_then_replay_reproduces_the_live_ingest_exactly() {
-        // The shard-equivalence contract at its smallest: record every
-        // query into a map on one pass, replay the same events through
-        // the map on a fresh TKG, and demand identical graphs and stats.
-        let (client, events) = setup_with(|cfg| cfg.transient_fault_prob = 0.25);
-        let cutoff = client.world().config.cutoff_day;
-        let n = events.len().min(25);
-
-        let mut live_tkg = Tkg::new(AptRegistry::new(client.world().config.n_apts));
-        let live_enricher = Enricher::new(&client, cutoff);
-        let mut live_total = IngestStats::default();
-        for e in events.iter().take(n) {
-            live_total.absorb(&live_enricher.ingest(&mut live_tkg, e));
-        }
-
-        let mut map = QueryMap::default();
-        {
-            let mut scratch = Tkg::new(AptRegistry::new(client.world().config.n_apts));
-            let rec_enricher = Enricher::new(&client, cutoff);
-            let mut log = QueryLog::Record(&mut map);
-            for e in events.iter().take(n) {
-                rec_enricher.ingest_logged(&mut scratch, e, &mut log);
-            }
-        }
-        assert!(map.len() > 0, "recording pass memoised nothing");
-
-        let mut replay_tkg = Tkg::new(AptRegistry::new(client.world().config.n_apts));
-        let replay_enricher = Enricher::new(&client, cutoff);
-        let mut replay_total = IngestStats::default();
-        {
-            let mut log = QueryLog::Replay(&map);
-            for e in events.iter().take(n) {
-                replay_total.absorb(&replay_enricher.ingest_logged(&mut replay_tkg, e, &mut log));
-            }
-        }
-        assert_eq!(
-            replay_total, live_total,
-            "stats taxonomy diverged under replay"
-        );
-        assert_eq!(replay_tkg.graph.node_count(), live_tkg.graph.node_count());
-        assert_eq!(replay_tkg.graph.edge_count(), live_tkg.graph.edge_count());
-        let live_bytes = trail_graph::persist::to_bytes(&live_tkg.graph);
-        let replay_bytes = trail_graph::persist::to_bytes(&replay_tkg.graph);
-        assert_eq!(live_bytes, replay_bytes, "snapshots not bitwise-identical");
     }
 }

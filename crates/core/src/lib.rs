@@ -32,7 +32,6 @@
 //! * [`report`] — dataset statistics, reuse histograms (§V, Fig. 4).
 //! * [`longitudinal`] — the months-long study (§VII-C, Figs. 7–8).
 //! * [`stream`] — event-at-a-time ingestion, bitwise-equal to batch.
-//! * [`shard`] — shard-parallel enrichment, bitwise-equal to sequential.
 //! * [`system`] — the end-to-end orchestrator.
 
 pub mod attribute;
@@ -43,7 +42,6 @@ pub mod enrich;
 pub mod freeze;
 pub mod longitudinal;
 pub mod report;
-pub mod shard;
 pub mod sparse;
 pub mod stream;
 pub mod system;

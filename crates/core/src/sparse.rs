@@ -39,20 +39,6 @@ impl SparseVec {
         out
     }
 
-    /// Write into a dense row slice (must match `dims`).
-    pub fn write_dense(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.dims as usize);
-        out.fill(0.0);
-        for &(i, v) in &self.entries {
-            out[i as usize] = v;
-        }
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Content fingerprint over the `(index, value-bits)` entries and
     /// the logical width. Equal vectors always fingerprint equally, so
     /// a per-row sweep can key encoded rows on it (the code cache's
@@ -89,11 +75,6 @@ pub struct SparseRef<'a> {
 }
 
 impl SparseRef<'_> {
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Materialise as a dense vector.
     pub fn to_dense(&self) -> Vec<f32> {
         let mut out = vec![0.0f32; self.dims as usize];
@@ -264,18 +245,10 @@ mod tests {
     fn roundtrip() {
         let dense = vec![0.0, 1.5, 0.0, -2.0, 0.0];
         let sv = SparseVec::from_dense(&dense);
-        assert_eq!(sv.nnz(), 2);
+        assert_eq!(sv.as_ref().entries.len(), 2);
         assert_eq!(sv.to_dense(), dense);
         assert_eq!(sv.get(3), -2.0);
         assert_eq!(sv.get(0), 0.0);
-    }
-
-    #[test]
-    fn write_dense_clears_stale_values() {
-        let sv = SparseVec::from_dense(&[1.0, 0.0]);
-        let mut buf = vec![9.0, 9.0];
-        sv.write_dense(&mut buf);
-        assert_eq!(buf, vec![1.0, 0.0]);
     }
 
     #[test]
@@ -290,7 +263,7 @@ mod tests {
     #[test]
     fn empty_vector_is_fine() {
         let sv = SparseVec::from_dense(&[0.0; 4]);
-        assert_eq!(sv.nnz(), 0);
+        assert!(sv.as_ref().entries.is_empty());
         assert_eq!(sv.to_dense(), vec![0.0; 4]);
     }
 
@@ -298,7 +271,6 @@ mod tests {
     fn ref_view_matches_owned_vector() {
         let sv = SparseVec::from_dense(&[0.0, 1.5, 0.0, -2.0]);
         let r = sv.as_ref();
-        assert_eq!(r.nnz(), sv.nnz());
         assert_eq!(r.to_dense(), sv.to_dense());
         assert_eq!(r.get(3), -2.0);
         assert_eq!(r.get(0), 0.0);
@@ -344,7 +316,7 @@ mod tests {
         assert!(arena.insert_if_absent(0, &empty));
         assert!(arena.contains(0));
         let r = arena.get(0).unwrap();
-        assert_eq!(r.nnz(), 0);
+        assert!(r.entries.is_empty());
         assert_eq!(r.dims, 3);
         assert_eq!(r.fingerprint(), empty.fingerprint());
     }

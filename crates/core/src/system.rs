@@ -4,7 +4,6 @@ use trail_osint::OsintClient;
 
 use crate::collector::{collect_iter, AptRegistry, CollectStats, CollectedEvent};
 use crate::enrich::{Enricher, IngestStats};
-use crate::shard;
 use crate::tkg::Tkg;
 
 /// A built TRAIL system: the knowledge graph plus its data source.
@@ -35,36 +34,6 @@ impl TrailSystem {
                 ingest_stats.absorb(&enricher.ingest(&mut tkg, event));
             }
         }
-        Self {
-            client,
-            tkg,
-            asof_day: until_day,
-            collect_stats,
-            ingest_stats,
-        }
-    }
-
-    /// [`Self::build`] with shard-parallel enrichment: `n_shards`
-    /// shards are queried concurrently on `threads` pool workers, then
-    /// merged sequentially. Bitwise-identical to [`Self::build`] — same
-    /// graph snapshot, same features, same [`IngestStats`] — at any
-    /// shard and thread count (see `crate::shard` for the argument).
-    /// Falls back to the sequential [`Self::build`] when the client
-    /// carries a circuit breaker — breaker state makes query outcomes
-    /// order-dependent, which the shard replay cannot reproduce.
-    pub fn build_with_shards(
-        client: OsintClient,
-        until_day: u32,
-        n_shards: usize,
-        threads: usize,
-    ) -> Self {
-        if client.breaker().is_some() {
-            return Self::build(client, until_day);
-        }
-        let registry = AptRegistry::new(client.world().config.n_apts);
-        let (events, collect_stats) = collect_iter(client.reports_before(until_day), &registry);
-        let (tkg, ingest_stats) =
-            shard::build_tkg_sharded(&client, until_day, &events, n_shards.max(1), threads);
         Self {
             client,
             tkg,
@@ -159,41 +128,6 @@ mod tests {
         let horizon = sys.client.world().config.horizon_day();
         sys.ingest_window(cutoff, horizon);
         assert!(sys.ingest_stats.first_order > built.first_order);
-    }
-
-    #[test]
-    fn sharded_build_matches_sequential_build() {
-        let c = client();
-        let cutoff = c.world().config.cutoff_day;
-        let seq = TrailSystem::build(c.clone(), cutoff);
-        let seq_bytes = trail_graph::persist::to_bytes(&seq.tkg.graph);
-        for threads in [1usize, 2, 8] {
-            let par = TrailSystem::build_with_shards(c.clone(), cutoff, threads, threads);
-            assert_eq!(par.ingest_stats, seq.ingest_stats, "{threads} threads");
-            assert_eq!(par.collect_stats, seq.collect_stats);
-            assert_eq!(
-                trail_graph::persist::to_bytes(&par.tkg.graph),
-                seq_bytes,
-                "graph diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_build_with_breaker_falls_back_to_sequential() {
-        use trail_osint::CircuitBreaker;
-        let world = Arc::new(World::generate(WorldConfig::tiny(55)));
-        let breaker = Arc::new(CircuitBreaker::default());
-        let c = OsintClient::with_breaker(world, breaker);
-        let cutoff = c.world().config.cutoff_day;
-        let seq = TrailSystem::build(c.clone(), cutoff);
-        let par = TrailSystem::build_with_shards(c, cutoff, 4, 4);
-        // Same clean feed, so the fallback build agrees with sequential.
-        assert_eq!(par.ingest_stats, seq.ingest_stats);
-        assert_eq!(
-            trail_graph::persist::to_bytes(&par.tkg.graph),
-            trail_graph::persist::to_bytes(&seq.tkg.graph)
-        );
     }
 
     #[test]

@@ -163,12 +163,6 @@ impl Tkg {
             .find_node(Self::node_kind(key.kind()), key.text())
     }
 
-    /// Borrow an IOC's features by canonical identity, if its node
-    /// exists and was enriched.
-    pub fn features_by_key(&self, key: &IocKey) -> Option<SparseRef<'_>> {
-        self.find_ioc(key).and_then(|node| self.features(node))
-    }
-
     /// All nodes of an IOC kind that carry features, with the features,
     /// in ascending node-id order (the arena iterates by node index, so
     /// no sort is needed).
@@ -372,18 +366,6 @@ mod tests {
         // The borrowed-key forms resolve identically, with no clone.
         assert_eq!(tkg.find_ioc_ref(key.as_ref()), Some(node));
         assert_eq!(tkg.upsert_ioc_full(key.as_ref()), (node, false));
-    }
-
-    #[test]
-    fn features_by_key_resolves_canonically() {
-        let mut tkg = tiny_tkg();
-        let key = IocKey::parse(IocKind::Ip, "1.1.1.1").unwrap();
-        let node = tkg.find_ioc(&key).expect("seeded in tiny_tkg");
-        tkg.set_features(node, SparseVec::from_dense(&[4.0]));
-        let via_noisy = IocKey::parse(IocKind::Ip, " 1.1.1[.]1 ").unwrap();
-        assert_eq!(tkg.features_by_key(&via_noisy).unwrap().get(0), 4.0);
-        let absent = IocKey::parse(IocKind::Ip, "9.9.9.9").unwrap();
-        assert!(tkg.features_by_key(&absent).is_none());
     }
 
     #[test]

@@ -373,15 +373,6 @@ impl GraphStore {
         counts
     }
 
-    /// Count of edges per edge kind.
-    pub fn edge_counts_by_kind(&self) -> [usize; 6] {
-        let mut counts = [0; 6];
-        for e in &self.edges {
-            counts[e.kind.index()] += 1;
-        }
-        counts
-    }
-
     /// Iterate all edges.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
@@ -575,9 +566,6 @@ mod tests {
         assert_eq!(nodes[NodeKind::Event.index()], 1);
         assert_eq!(nodes[NodeKind::Ip.index()], 1);
         assert_eq!(nodes[NodeKind::Domain.index()], 1);
-        let edges = g.edge_counts_by_kind();
-        assert_eq!(edges[EdgeKind::InReport.index()], 2);
-        assert_eq!(edges[EdgeKind::ARecord.index()], 1);
     }
 
     #[test]

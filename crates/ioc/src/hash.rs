@@ -1,7 +1,7 @@
 //! Byte-wise 64-bit FNV-1a — the one non-cryptographic hash of the
-//! workspace: frame checksums, vocabulary slots, shard routing, fault
-//! draws and content fingerprints all fold bytes through it. It guards
-//! against torn writes and bit rot, not forgery.
+//! workspace: frame checksums, vocabulary slots, fault draws and
+//! content fingerprints all fold bytes through it. It guards against
+//! torn writes and bit rot, not forgery.
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

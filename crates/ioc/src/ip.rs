@@ -41,24 +41,6 @@ impl IpIoc {
             parse_ipv4(&self.text)
         }
     }
-
-    /// True if the address sits in a private / reserved range
-    /// (10/8, 172.16/12, 192.168/16, 127/8, 0/8, 169.254/16).
-    /// Reports sometimes leak internal addresses; the pipeline drops them.
-    pub fn is_reserved(&self) -> bool {
-        match self.v4_octets() {
-            Some([10, ..]) | Some([127, ..]) | Some([0, ..]) => true,
-            Some([172, b, ..]) if (16..=31).contains(&b) => true,
-            Some([192, 168, ..]) | Some([169, 254, ..]) => true,
-            Some(_) => false,
-            None => {
-                self.text == "::1"
-                    || self.text.starts_with("fe80")
-                    || self.text.starts_with("fc")
-                    || self.text.starts_with("fd")
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for IpIoc {
@@ -118,24 +100,6 @@ mod tests {
         let ip = IpIoc::parse("2001:db8::1").unwrap();
         assert!(ip.v6);
         assert_eq!(ip.text, "2001:db8::1");
-        assert!(IpIoc::parse("::1").unwrap().is_reserved());
-    }
-
-    #[test]
-    fn reserved_ranges() {
-        for r in [
-            "10.0.0.1",
-            "127.0.0.1",
-            "172.16.9.9",
-            "172.31.1.1",
-            "192.168.1.1",
-            "169.254.0.1",
-        ] {
-            assert!(IpIoc::parse(r).unwrap().is_reserved(), "{r}");
-        }
-        for p in ["8.8.8.8", "172.32.0.1", "193.168.1.1"] {
-            assert!(!IpIoc::parse(p).unwrap().is_reserved(), "{p}");
-        }
     }
 
     #[test]

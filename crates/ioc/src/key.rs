@@ -51,14 +51,6 @@ impl<'a> IocKeyRef<'a> {
     pub fn text(self) -> &'a str {
         self.text
     }
-
-    /// Clone into the owned form (the one place this borrow allocates).
-    pub fn to_key(self) -> IocKey {
-        IocKey {
-            kind: self.kind,
-            text: self.text.to_owned(),
-        }
-    }
 }
 
 impl<'a> From<&'a IocKey> for IocKeyRef<'a> {
@@ -201,12 +193,11 @@ mod tests {
         let r = key.as_ref();
         assert_eq!(r.kind(), key.kind());
         assert_eq!(r.text(), key.text());
-        assert_eq!(r.to_key(), key);
         assert_eq!(IocKeyRef::from(&key), r);
         assert_eq!(r.to_string(), key.to_string());
         // An Ioc's borrow agrees with its owned key.
         let ioc = Ioc::detect("threebody.cn").unwrap();
-        assert_eq!(ioc.key_ref().to_key(), ioc.key());
+        assert_eq!(IocKeyRef::from(&ioc.key()), ioc.key_ref());
         assert_eq!(ioc.key_ref().text(), "threebody.cn");
     }
 }

@@ -165,111 +165,6 @@ impl RawReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// MISP event format
-// ---------------------------------------------------------------------------
-
-/// A MISP attribute (the second feed format TRAIL understands — the
-/// paper: "TRAIL could easily be extended to parse the responses from
-/// other data providers", and OTX itself "aggregates many existing
-/// MISP feeds").
-#[derive(Debug, Clone, PartialEq)]
-pub struct MispAttribute {
-    /// MISP attribute type, e.g. `ip-dst`, `url`, `domain`.
-    pub attr_type: String,
-    /// The attribute value.
-    pub value: String,
-}
-
-/// A MISP event wrapper (`{"Event": {...}}`) reduced to the fields the
-/// collector needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MispEvent {
-    /// Event UUID.
-    pub uuid: String,
-    /// Event info line — used as a tag source alongside `Tag`.
-    pub info: String,
-    /// Days since the feed epoch.
-    pub date_day: u32,
-    /// Galaxy/taxonomy tags, e.g. `misp-galaxy:threat-actor="Sofacy"`.
-    pub tags: Vec<String>,
-    /// The attributes.
-    pub attributes: Vec<MispAttribute>,
-}
-
-impl MispEvent {
-    /// Parse from JSON text (accepts both bare events and the
-    /// `{"Event": ...}` wrapper MISP exports use).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text).map_err(|e| format!("bad MISP JSON: {e}"))?;
-        let event = doc.get("Event").unwrap_or(&doc);
-        let uuid = required_str(event, "uuid")?;
-        let info = required_str(event, "info")?;
-        let date_day = event
-            .get("date_day")
-            .and_then(JsonValue::as_u32)
-            .unwrap_or(0);
-        let tags = string_array(event, "tags")?;
-        let mut attributes = Vec::new();
-        if let Some(items) = event.get("Attribute") {
-            let items = items
-                .as_array()
-                .ok_or("field \"Attribute\" is not an array")?;
-            for item in items {
-                attributes.push(MispAttribute {
-                    attr_type: required_str(item, "type")?,
-                    value: required_str(item, "value")?,
-                });
-            }
-        }
-        Ok(Self {
-            uuid,
-            info,
-            date_day,
-            tags,
-            attributes,
-        })
-    }
-
-    /// Convert to the canonical [`RawReport`] the pipeline ingests.
-    /// Galaxy tags are reduced to their quoted value
-    /// (`misp-galaxy:threat-actor="Sofacy"` → `Sofacy`).
-    pub fn into_raw_report(self) -> RawReport {
-        let indicators = self
-            .attributes
-            .into_iter()
-            .filter_map(|a| {
-                let t = match a.attr_type.as_str() {
-                    "ip-dst" | "ip-src" | "ip" => "IPv4",
-                    "url" | "uri" => "URL",
-                    "domain" | "hostname" | "domain|ip" => "domain",
-                    _ => return None,
-                };
-                // `domain|ip` composite attributes carry both values.
-                let value = a.value.split('|').next().unwrap_or(&a.value).to_owned();
-                Some(RawIndicator {
-                    indicator_type: t.to_owned(),
-                    indicator: value,
-                })
-            })
-            .collect();
-        let tags = self
-            .tags
-            .iter()
-            .map(|t| match t.split_once('=') {
-                Some((_, v)) => v.trim_matches('"').to_owned(),
-                None => t.clone(),
-            })
-            .collect();
-        RawReport {
-            id: self.uuid,
-            created_day: self.date_day,
-            tags,
-            indicators,
-        }
-    }
-}
-
 /// Map an OTX-style indicator type string to an IOC kind.
 pub fn declared_kind(s: &str) -> Option<IocKind> {
     match s.to_ascii_lowercase().as_str() {
@@ -321,50 +216,6 @@ mod tests {
         assert_eq!(declared_kind("hostname"), Some(IocKind::Domain));
         assert_eq!(declared_kind("URI"), Some(IocKind::Url));
         assert_eq!(declared_kind("FileHash-MD5"), None);
-    }
-
-    const MISP_SAMPLE: &str = r#"{
-        "Event": {
-            "uuid": "5f6e-misp-001",
-            "info": "Sofacy spearphishing wave",
-            "date_day": 2901,
-            "tags": ["misp-galaxy:threat-actor=\"Sofacy\"", "tlp:white"],
-            "Attribute": [
-                {"type": "ip-dst", "value": "198.51.100.7"},
-                {"type": "url", "value": "http://evil.example/drop.php"},
-                {"type": "domain|ip", "value": "evil.example|198.51.100.7"},
-                {"type": "sha256", "value": "aabbcc"}
-            ]
-        }
-    }"#;
-
-    #[test]
-    fn misp_event_converts_to_raw_report() {
-        let ev = MispEvent::from_json(MISP_SAMPLE).unwrap();
-        assert_eq!(ev.uuid, "5f6e-misp-001");
-        let raw = ev.into_raw_report();
-        assert_eq!(raw.id, "5f6e-misp-001");
-        assert_eq!(raw.created_day, 2901);
-        // Galaxy tag reduced to its quoted value; tlp tag passes through.
-        assert!(raw.tags.contains(&"Sofacy".to_owned()));
-        // sha256 dropped; domain|ip keeps the domain half.
-        assert_eq!(raw.indicators.len(), 3);
-        assert!(raw
-            .indicators
-            .iter()
-            .any(|i| i.indicator_type == "domain" && i.indicator == "evil.example"));
-        // And the converted report parses cleanly end to end.
-        let parsed = raw.parse();
-        assert_eq!(parsed.iocs.len(), 3);
-        assert!(parsed.rejected.is_empty());
-    }
-
-    #[test]
-    fn misp_accepts_bare_event_json() {
-        let bare = r#"{"uuid": "x", "info": "t", "Attribute": []}"#;
-        let ev = MispEvent::from_json(bare).unwrap();
-        assert_eq!(ev.uuid, "x");
-        assert_eq!(ev.date_day, 0);
     }
 
     #[test]

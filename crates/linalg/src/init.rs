@@ -4,13 +4,6 @@ use rand::Rng;
 
 use crate::Matrix;
 
-/// Xavier/Glorot uniform initialisation: U(-a, a) with
-/// `a = sqrt(6 / (fan_in + fan_out))`. Good default for tanh/linear.
-pub fn xavier_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
-    let a = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    Matrix::from_fn(fan_in, fan_out, |_, _| rng.gen_range(-a..=a))
-}
-
 /// He/Kaiming uniform initialisation for ReLU networks:
 /// U(-a, a) with `a = sqrt(6 / fan_in)`.
 pub fn he_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix {
@@ -22,16 +15,6 @@ pub fn he_uniform<R: Rng + ?Sized>(rng: &mut R, fan_in: usize, fan_out: usize) -
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
-
-    #[test]
-    fn xavier_within_bounds_and_seeded() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let w = xavier_uniform(&mut rng, 100, 50);
-        let bound = (6.0f32 / 150.0).sqrt();
-        assert!(w.as_slice().iter().all(|x| x.abs() <= bound + 1e-6));
-        let mut rng2 = StdRng::seed_from_u64(7);
-        assert_eq!(w, xavier_uniform(&mut rng2, 100, 50));
-    }
 
     #[test]
     fn he_has_wider_bound_than_xavier_for_equal_fans() {

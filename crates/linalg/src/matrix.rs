@@ -67,23 +67,6 @@ impl Matrix {
         Ok(Self { rows, cols, data })
     }
 
-    /// Build a matrix whose rows are the given equal-length slices.
-    pub fn from_rows(rows: &[&[f32]]) -> Result<Self> {
-        let n_cols = rows.first().map_or(0, |r| r.len());
-        let mut data = Vec::with_capacity(rows.len() * n_cols);
-        for r in rows {
-            if r.len() != n_cols {
-                return Err(ShapeError::new("ragged rows"));
-            }
-            data.extend_from_slice(r);
-        }
-        Ok(Self {
-            rows: rows.len(),
-            cols: n_cols,
-            data,
-        })
-    }
-
     /// The identity matrix of size `n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
@@ -203,11 +186,6 @@ impl Matrix {
     /// `self -= other` (same shape).
     pub fn sub_assign(&mut self, other: &Self) -> Result<()> {
         self.zip_inplace(other, |a, b| a - b)
-    }
-
-    /// `self *= other` element-wise (Hadamard product, same shape).
-    pub fn hadamard_assign(&mut self, other: &Self) -> Result<()> {
-        self.zip_inplace(other, |a, b| a * b)
     }
 
     fn zip_inplace(&mut self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Result<()> {
@@ -663,14 +641,8 @@ mod tests {
         a.add_assign(&b).unwrap();
         assert_eq!(a.as_slice(), &[2.0, 3.0, 4.0, 5.0]);
         a.sub_assign(&b).unwrap();
-        a.hadamard_assign(&b).unwrap();
         assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
         a.axpy(2.0, &b).unwrap();
         assert_eq!(a.as_slice(), &[3.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged() {
-        assert!(Matrix::from_rows(&[&[1.0, 2.0][..], &[3.0][..]]).is_err());
     }
 }

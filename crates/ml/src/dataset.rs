@@ -101,19 +101,6 @@ impl StratifiedKFold {
     }
 }
 
-/// Plain shuffled train/test split with the given test fraction.
-pub fn train_test_split<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: usize,
-    test_fraction: f32,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut indices: Vec<usize> = (0..n).collect();
-    indices.shuffle(rng);
-    let n_test = ((n as f32) * test_fraction).round() as usize;
-    let test = indices.split_off(n.saturating_sub(n_test));
-    (indices, test)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,13 +152,5 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn train_test_split_sizes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (train, test) = train_test_split(&mut rng, 100, 0.2);
-        assert_eq!(train.len(), 80);
-        assert_eq!(test.len(), 20);
     }
 }

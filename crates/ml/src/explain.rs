@@ -1,26 +1,15 @@
 //! Model explanations (paper Section VII-D, Fig. 9).
 //!
 //! The paper uses SHAP beeswarm plots over its XGB URL classifier. We
-//! provide the same artefact via two complementary techniques:
-//!
-//! * **Additive path decompositions** (Saabas): for trees we walk each
-//!   prediction path and attribute the change in node value across every
-//!   split to the split feature. For a single tree this is the exact
-//!   quantity TreeSHAP approximates on balanced data; summed over an
-//!   ensemble it yields per-sample, per-feature signed contributions —
-//!   exactly what a beeswarm plots.
-//! * **Permutation importance**: model-agnostic global importances used
-//!   to sanity-check the decomposition ranking.
+//! build the same artefact from additive path decompositions (Saabas):
+//! every boosted tree's prediction path is walked and the change in
+//! margin across each split is attributed to the split feature. Summed
+//! over the ensemble this yields per-sample, per-feature signed
+//! contributions — exactly what a beeswarm plots.
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use trail_linalg::Matrix;
 
-use crate::forest::RandomForest;
 use crate::gbt::GradientBoostedTrees;
-use crate::metrics::accuracy;
-use crate::tree::{DecisionTree, Node};
-use crate::Classifier;
 
 /// One beeswarm point: a sample's value of a feature and that feature's
 /// signed contribution to the explained class.
@@ -44,45 +33,6 @@ pub struct Beeswarm {
     pub top_features: Vec<(usize, f32)>,
     /// All points, grouped feature-major in `top_features` order.
     pub points: Vec<BeeswarmPoint>,
-}
-
-/// Per-feature contributions of a single CART tree to `class`'s
-/// probability for one row. Returns `(bias, contributions)`.
-pub fn tree_contributions(tree: &DecisionTree, row: &[f32], class: usize) -> (f32, Vec<f32>) {
-    let mut contrib = vec![0.0f32; row.len()];
-    let path = tree.decision_path(row);
-    let nodes = tree.nodes();
-    let bias = nodes[path[0]].proba()[class];
-    let mut current = bias;
-    for window in path.windows(2) {
-        let (parent, child) = (window[0], window[1]);
-        if let Node::Split { feature, .. } = &nodes[parent] {
-            let next = nodes[child].proba()[class];
-            contrib[*feature as usize] += next - current;
-            current = next;
-        }
-    }
-    (bias, contrib)
-}
-
-/// Forest-averaged contributions for one row and class.
-pub fn forest_contributions(forest: &RandomForest, row: &[f32], class: usize) -> (f32, Vec<f32>) {
-    let trees = forest.trees();
-    let mut total = vec![0.0f32; row.len()];
-    let mut bias = 0.0f32;
-    for tree in trees {
-        let (b, c) = tree_contributions(tree, row, class);
-        bias += b;
-        for (t, v) in total.iter_mut().zip(c) {
-            *t += v;
-        }
-    }
-    let k = 1.0 / trees.len().max(1) as f32;
-    bias *= k;
-    for t in &mut total {
-        *t *= k;
-    }
-    (bias, total)
 }
 
 /// Build beeswarm data for `class` from GBT margin contributions over
@@ -127,40 +77,11 @@ pub fn gbt_beeswarm(
     }
 }
 
-/// Permutation importance: accuracy drop when each feature column is
-/// shuffled. Only features in `candidates` are tested (pass all columns
-/// for small models; a subset keeps wide encoders tractable).
-pub fn permutation_importance<C: Classifier, R: Rng + ?Sized>(
-    rng: &mut R,
-    model: &C,
-    x: &Matrix,
-    y: &[u16],
-    candidates: &[usize],
-) -> Vec<(usize, f64)> {
-    let baseline = accuracy(y, &model.predict(x));
-    let mut out = Vec::with_capacity(candidates.len());
-    for &f in candidates {
-        let mut xp = x.clone();
-        // Shuffle column f across rows.
-        let mut col: Vec<f32> = (0..x.rows()).map(|r| x[(r, f)]).collect();
-        col.shuffle(rng);
-        for (r, v) in col.into_iter().enumerate() {
-            xp[(r, f)] = v;
-        }
-        let dropped = accuracy(y, &model.predict(&xp));
-        out.push((f, baseline - dropped));
-    }
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forest::ForestConfig;
     use crate::gbt::GbtConfig;
-    use crate::tree::TreeConfig;
-    use rand::{rngs::StdRng, SeedableRng};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// Class depends only on feature 0; feature 1 is noise.
     fn one_informative(n: usize) -> (Matrix, Vec<u16>) {
@@ -174,39 +95,6 @@ mod tests {
             y.push((a > 0.0) as u16);
         }
         (Matrix::from_vec(n, 2, rows).unwrap(), y)
-    }
-
-    #[test]
-    fn tree_contributions_sum_to_leaf_probability() {
-        let (x, y) = one_informative(100);
-        let mut rng = StdRng::seed_from_u64(1);
-        let idx: Vec<usize> = (0..x.rows()).collect();
-        let tree = DecisionTree::fit(&mut rng, &x, &y, &idx, 2, &TreeConfig::default());
-        for r in 0..5 {
-            let row = x.row(r);
-            let (bias, contrib) = tree_contributions(&tree, row, 1);
-            let total = bias + contrib.iter().sum::<f32>();
-            let leaf = tree.predict_proba_row(row)[1];
-            assert!((total - leaf).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn informative_feature_dominates_tree_explanations() {
-        let (x, y) = one_informative(200);
-        let mut rng = StdRng::seed_from_u64(2);
-        let cfg = ForestConfig {
-            n_trees: 10,
-            ..Default::default()
-        };
-        let rf = RandomForest::fit(&mut rng, &x, &y, 2, &cfg);
-        let mut mass = [0.0f32; 2];
-        for r in 0..x.rows() {
-            let (_, c) = forest_contributions(&rf, x.row(r), 1);
-            mass[0] += c[0].abs();
-            mass[1] += c[1].abs();
-        }
-        assert!(mass[0] > mass[1] * 3.0, "{mass:?}");
     }
 
     #[test]
@@ -257,20 +145,5 @@ mod tests {
             .map(|p| p.value.signum() * p.contribution.signum())
             .sum();
         assert!(pos_corr > 0.0);
-    }
-
-    #[test]
-    fn permutation_importance_finds_informative_feature() {
-        let (x, y) = one_informative(200);
-        let mut rng = StdRng::seed_from_u64(5);
-        let cfg = ForestConfig {
-            n_trees: 10,
-            ..Default::default()
-        };
-        let rf = RandomForest::fit(&mut rng, &x, &y, 2, &cfg);
-        let imp = permutation_importance(&mut rng, &rf, &x, &y, &[0, 1]);
-        assert_eq!(imp[0].0, 0);
-        assert!(imp[0].1 > 0.2, "{imp:?}");
-        assert!(imp[1].1.abs() < 0.1, "{imp:?}");
     }
 }

@@ -72,11 +72,6 @@ impl RandomForest {
     pub fn n_trees(&self) -> usize {
         self.trees.len()
     }
-
-    /// Borrow the trees (explanations average per-tree attributions).
-    pub fn trees(&self) -> &[DecisionTree] {
-        &self.trees
-    }
 }
 
 fn fit_one(

@@ -1,7 +1,8 @@
 //! Classical machine-learning substrate for the TRAIL reproduction.
 //!
-//! Implements, from scratch over [`trail_linalg`], everything the
-//! paper's Section VI-A pipeline uses:
+//! Implements, from scratch over [`trail_linalg`], the models and
+//! tooling of the paper's Section VI-A pipeline. Its Hyperopt search is
+//! not among them: Table III runs fixed settings.
 //!
 //! * [`dataset`] — feature/label containers, stratified k-fold CV.
 //! * [`scaler`] — standard scaling fitted on the training split.
@@ -13,15 +14,13 @@
 //! * [`nn`] — the paper's MLP (2048→1024→512→128→64 with batch-norm,
 //!   ReLU and dropout), Adam, cross-entropy, plus the autoencoders the
 //!   GNN uses for per-type input projection.
-//! * [`hyperopt`] — Tree-of-Parzen-Estimators search (Hyperopt's TPE).
-//! * [`explain`] — additive per-feature tree attributions (the
-//!   SHAP-beeswarm substitute for Fig. 9) and permutation importance.
+//! * [`explain`] — additive per-feature attributions over the boosted
+//!   trees (the SHAP-beeswarm substitute for Fig. 9).
 
 pub mod dataset;
 pub mod explain;
 pub mod forest;
 pub mod gbt;
-pub mod hyperopt;
 pub mod metrics;
 pub mod nn;
 pub mod scaler;

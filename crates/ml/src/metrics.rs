@@ -109,15 +109,6 @@ impl ConfusionMatrix {
             .collect()
     }
 
-    /// Per-class recall (diagonal of [`Self::recall_matrix`]).
-    pub fn per_class_recall(&self) -> Vec<f64> {
-        self.recall_matrix()
-            .iter()
-            .enumerate()
-            .map(|(i, row)| row[i])
-            .collect()
-    }
-
     /// Render as an aligned text table restricted to classes with
     /// support, using the provided class names.
     pub fn render(&self, names: &[&str]) -> String {
@@ -181,9 +172,9 @@ mod tests {
         assert_eq!(cm.get(0, 1), 1);
         assert_eq!(cm.get(1, 0), 1);
         assert_eq!(cm.get(1, 1), 2);
-        let recall = cm.per_class_recall();
-        assert!((recall[0] - 0.5).abs() < 1e-12);
-        assert!((recall[1] - 2.0 / 3.0).abs() < 1e-12);
+        let recall = cm.recall_matrix();
+        assert!((recall[0][0] - 0.5).abs() < 1e-12);
+        assert!((recall[1][1] - 2.0 / 3.0).abs() < 1e-12);
         let rendered = cm.render(&["A", "B"]);
         assert!(rendered.contains('A') && rendered.contains('B'));
     }

@@ -77,14 +77,6 @@ impl Autoencoder {
         self.enc2.forward_eval(&h)
     }
 
-    /// Reconstruct a batch (inference mode).
-    pub fn reconstruct(&self, x: &Matrix) -> Matrix {
-        let code = self.encode(x);
-        let h = self.dec1.forward_eval(&code);
-        let h = self.dec_act.forward_eval(&h);
-        self.dec2.forward_eval(&h)
-    }
-
     /// One training step on a batch; returns the reconstruction loss.
     pub fn train_batch(&mut self, x: &Matrix, adam: &mut Adam) -> f32 {
         // Forward with caches.
@@ -219,7 +211,6 @@ mod tests {
         let ae = Autoencoder::new(&mut rng, 10, &cfg);
         let x = Matrix::zeros(5, 10);
         assert_eq!(ae.encode(&x).shape(), (5, 3));
-        assert_eq!(ae.reconstruct(&x).shape(), (5, 10));
         assert_eq!(ae.code_dim(), 3);
     }
 
@@ -238,7 +229,7 @@ mod tests {
         }
         let x = Matrix::from_fn(4, 6, |r, c| (r * 2 + c) as f32 * 0.1);
         assert_eq!(ae.encode(&x), copy.encode(&x));
-        assert_eq!(ae.reconstruct(&x), copy.reconstruct(&x));
+        assert_eq!(ae.layer_params(), copy.layer_params());
     }
 
     #[test]

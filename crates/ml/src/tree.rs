@@ -1,5 +1,5 @@
 //! CART classification trees (Gini impurity), the base learner of the
-//! Random Forest and the unit the explanation module decomposes.
+//! Random Forest.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -51,9 +51,7 @@ impl Default for TreeConfig {
     }
 }
 
-/// A tree node. Every node stores its class distribution so prediction
-/// paths can be decomposed into per-feature contributions (Saabas /
-/// SHAP-style, see [`crate::explain`]).
+/// A tree node.
 #[derive(Debug, Clone)]
 pub enum Node {
     /// Terminal node.
@@ -71,18 +69,7 @@ pub enum Node {
         left: u32,
         /// Right child node index.
         right: u32,
-        /// Class distribution at this node (pre-split).
-        proba: Vec<f32>,
     },
-}
-
-impl Node {
-    /// The class distribution stored at this node.
-    pub fn proba(&self) -> &[f32] {
-        match self {
-            Node::Leaf { proba } | Node::Split { proba, .. } => proba,
-        }
-    }
 }
 
 /// A fitted CART classification tree.
@@ -120,11 +107,6 @@ impl DecisionTree {
         self.nodes.len()
     }
 
-    /// Borrow the node arena (used by the explainer).
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
     /// Class probabilities for one feature row.
     pub fn predict_proba_row(&self, row: &[f32]) -> &[f32] {
         let mut at = 0usize;
@@ -143,30 +125,6 @@ impl DecisionTree {
                     } else {
                         *right as usize
                     };
-                }
-            }
-        }
-    }
-
-    /// The node-index path a row takes from root to leaf.
-    pub fn decision_path(&self, row: &[f32]) -> Vec<usize> {
-        let mut path = vec![0usize];
-        loop {
-            match &self.nodes[*path.last().expect("non-empty")] {
-                Node::Leaf { .. } => return path,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                    ..
-                } => {
-                    let next = if row[*feature as usize] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                    path.push(next as usize);
                 }
             }
         }
@@ -222,9 +180,7 @@ impl DecisionTree {
             return node_id;
         }
         // Reserve the split slot, then grow children.
-        self.nodes.push(Node::Leaf {
-            proba: proba.clone(),
-        }); // placeholder
+        self.nodes.push(Node::Leaf { proba: Vec::new() }); // placeholder
         let (left_idx, right_idx) = indices.split_at_mut(mid);
         let left = self.grow(rng, x, y, left_idx, depth + 1, cfg, features);
         let right = self.grow(rng, x, y, right_idx, depth + 1, cfg, features);
@@ -233,7 +189,6 @@ impl DecisionTree {
             threshold,
             left,
             right,
-            proba,
         };
         node_id
     }
@@ -430,21 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn decision_path_starts_at_root_ends_at_leaf() {
-        let (x, y) = xor_data();
-        let mut rng = StdRng::seed_from_u64(1);
-        let idx: Vec<usize> = (0..x.rows()).collect();
-        let tree = DecisionTree::fit(&mut rng, &x, &y, &idx, 2, &TreeConfig::default());
-        let path = tree.decision_path(x.row(0));
-        assert_eq!(path[0], 0);
-        assert!(matches!(
-            tree.nodes()[*path.last().unwrap()],
-            Node::Leaf { .. }
-        ));
-        assert!(path.len() >= 2);
-    }
-
-    #[test]
     fn min_samples_leaf_is_respected() {
         let x = Matrix::from_vec(10, 1, (0..10).map(|i| i as f32).collect()).unwrap();
         let y: Vec<u16> = (0..10).map(|i| (i >= 9) as u16).collect();
@@ -481,7 +421,7 @@ mod tests {
                 check(nodes, *right as usize, x, &r);
             }
         }
-        check(tree.nodes(), 0, &x, &idx);
+        check(&tree.nodes, 0, &x, &idx);
     }
 
     #[test]

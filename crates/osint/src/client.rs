@@ -115,22 +115,9 @@ impl OsintClient {
         }
     }
 
-    /// Wrap a world with a circuit breaker on the fallible query path.
-    pub fn with_breaker(world: Arc<World>, breaker: Arc<CircuitBreaker>) -> Self {
-        Self {
-            world,
-            breaker: Some(breaker),
-        }
-    }
-
     /// Attach (or replace) the circuit breaker.
     pub fn set_breaker(&mut self, breaker: Arc<CircuitBreaker>) {
         self.breaker = Some(breaker);
-    }
-
-    /// The breaker guarding this client, if any.
-    pub fn breaker(&self) -> Option<&Arc<CircuitBreaker>> {
-        self.breaker.as_ref()
     }
 
     /// Borrow the underlying world (ground truth — evaluation only).
@@ -648,7 +635,8 @@ mod tests {
             cooldown_rejections: 4,
             half_open_successes: 2,
         }));
-        let c = OsintClient::with_breaker(Arc::new(World::generate(cfg)), Arc::clone(&breaker));
+        let mut c = OsintClient::new(Arc::new(World::generate(cfg)));
+        c.set_breaker(Arc::clone(&breaker));
         let name = c.world().domain_names[0].clone();
         // Three admitted faults trip the breaker…
         for a in 0..3 {
@@ -672,10 +660,8 @@ mod tests {
             cooldown_rejections: 2,
             half_open_successes: 2,
         }));
-        let c = OsintClient::with_breaker(
-            Arc::new(World::generate(WorldConfig::tiny(9))),
-            Arc::clone(&breaker),
-        );
+        let mut c = OsintClient::new(Arc::new(World::generate(WorldConfig::tiny(9))));
+        c.set_breaker(Arc::clone(&breaker));
         for _ in 0..3 {
             breaker.record_fault();
         }
@@ -700,10 +686,8 @@ mod tests {
     fn clones_share_one_breaker() {
         use crate::breaker::BreakerState;
         let breaker = Arc::new(CircuitBreaker::default());
-        let a = OsintClient::with_breaker(
-            Arc::new(World::generate(WorldConfig::tiny(9))),
-            Arc::clone(&breaker),
-        );
+        let mut a = OsintClient::new(Arc::new(World::generate(WorldConfig::tiny(9))));
+        a.set_breaker(Arc::clone(&breaker));
         let b = a.clone();
         for _ in 0..breaker.config().failure_threshold {
             breaker.record_fault();

@@ -153,16 +153,6 @@ impl World {
         Generator::new(config).run()
     }
 
-    /// Resolve a feed tag (canonical name or alias, case-insensitive)
-    /// to an APT index.
-    pub fn apt_index(&self, tag: &str) -> Option<usize> {
-        let t = tag.to_ascii_lowercase();
-        self.profiles.iter().position(|p| {
-            p.name.to_ascii_lowercase() == t
-                || p.aliases.iter().any(|a| a.to_ascii_lowercase() == t)
-        })
-    }
-
     /// Ground-truth label of an event by report id.
     pub fn truth(&self, report_id: &str) -> Option<usize> {
         self.events
@@ -1378,15 +1368,6 @@ mod tests {
             let n = w.events.iter().filter(|e| e.true_apt == apt).count();
             assert!(n >= 5, "APT {apt} has only {n} events");
         }
-    }
-
-    #[test]
-    fn alias_resolution_works() {
-        let w = World::generate(WorldConfig::tiny(3));
-        assert_eq!(w.apt_index("APT28"), Some(0));
-        assert_eq!(w.apt_index("sofacy"), Some(0));
-        assert_eq!(w.apt_index("Fancy-Bear"), Some(0));
-        assert_eq!(w.apt_index("nonexistent"), None);
     }
 
     #[test]

@@ -178,6 +178,17 @@ fn fault_injection_is_deterministic_and_recorded() {
         "0.3 fault rate produced no retries"
     );
     assert!(a.ingest_stats.backoff_ms > 0, "retries charged no backoff");
+    // At 0.35 the default three attempts run out on some queries.
+    let heavy = system_with(7101, |c| c.transient_fault_prob = 0.35);
+    assert!(
+        !heavy.tkg.events.is_empty(),
+        "fault fixture ingested nothing"
+    );
+    assert!(
+        heavy.ingest_stats.missed_transient > 0,
+        "fault fixture never faulted: {:?}",
+        heavy.ingest_stats
+    );
 }
 
 #[test]
