@@ -34,12 +34,13 @@
 //! `fig7` and `fig8` share one longitudinal run (`fig7` is the first
 //! month's confusion matrix of the same study), driven month by month
 //! through the streaming runtime. With `--resume DIR` they run the
-//! crash-safe study instead: a checkpoint is written to DIR after every
-//! window, and an existing checkpoint there resumes the run — the
-//! output is bitwise-identical to an uninterrupted run, and a damaged
-//! or foreign checkpoint is refused with a typed error (exit 1). The
-//! fault drills (kill/resume under a seeded `ChaosPlan`, corrupted
-//! checkpoints, a dead feed) are tier-1 tests in `tests/chaos_test.rs`.
+//! crash-safe study instead: every report and every window's tick is
+//! logged to a write-ahead log in DIR before it runs, and a log already
+//! there is replayed and the run carried on — the stdout is the same as
+//! without `--resume`, and a damaged sealed segment or another run's
+//! log is refused with a typed error (exit 1). The fault drills
+//! (kill/resume under a seeded `ChaosPlan`, damaged logs, a dead feed)
+//! are tier-1 tests in `tests/chaos_test.rs`.
 
 use trail_bench::RunOptions;
 
@@ -112,7 +113,7 @@ fn main() {
 }
 
 /// Run one experiment and return its verdict: `false` when a bench
-/// found a broken invariant or a checkpoint was refused (the process
+/// found a broken invariant or a study log was refused (the process
 /// then exits 1).
 fn run(experiment: &str, opts: &RunOptions, resume_dir: Option<&str>) -> bool {
     let _span = trail_obs::span(experiment);

@@ -394,7 +394,7 @@ impl<'a> Enricher<'a> {
             }
         }
         let rec = self.query(!tkg.has_features(node), tkg, ioc);
-        self.apply(tkg, node, expand, &rec, secondary, stats);
+        self.apply(tkg, node, expand, rec, secondary, stats);
     }
 
     /// Pure query step for one IOC: analysis under retries, linked
@@ -437,18 +437,20 @@ impl<'a> Enricher<'a> {
         QueryRecord { cost, payload }
     }
 
-    /// Graph-mutating apply step for a query record.
+    /// Graph-mutating apply step for a query record. The record holds
+    /// features only when `node` had none at query time, and nothing
+    /// between query and apply writes features.
     fn apply(
         &self,
         tkg: &mut Tkg,
         node: NodeId,
         expand: bool,
-        rec: &QueryRecord,
+        rec: QueryRecord,
         secondary: &mut Vec<(NodeId, Ioc)>,
         stats: &mut IngestStats,
     ) {
         rec.cost.charge(stats);
-        let Some(p) = &rec.payload else {
+        let Some(p) = rec.payload else {
             return;
         };
         // ASN node (whois/dig output) — cheap metadata, always linked.
@@ -469,10 +471,8 @@ impl<'a> Enricher<'a> {
         if expand {
             stats.dropped_unparseable += p.dropped_hosted;
         }
-        if let Some(f) = &p.features {
-            if !tkg.has_features(node) {
-                tkg.set_features(node, f.clone());
-            }
+        if let Some(f) = p.features {
+            tkg.set_features(node, f);
         }
     }
 
@@ -752,19 +752,21 @@ mod tests {
         let client = OsintClient::new(Arc::new(World::fixture()));
         let enricher = Enricher::new(&client, 0);
         let strings = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let mut p = Payload::default();
-        let resolved = strings(&["not an ip", "192.0.2.7"]);
-        p.push_links(IocKind::Ip, &resolved, EdgeKind::DomainResolvesTo, false);
-        let hosted = strings(&["no scheme here", "http://b.example/x"]);
-        p.push_links(IocKind::Url, &hosted, EdgeKind::HostedOn, true);
-        assert_eq!((p.links.len(), p.dropped, p.dropped_hosted), (2, 1, 1));
-        let rec = QueryRecord {
-            cost: QueryCost {
-                retried: 0,
-                backoff_ms: 0,
-                outcome: QueryOutcome::Success,
-            },
-            payload: Some(p),
+        let record = || {
+            let mut p = Payload::default();
+            let resolved = strings(&["not an ip", "192.0.2.7"]);
+            p.push_links(IocKind::Ip, &resolved, EdgeKind::DomainResolvesTo, false);
+            let hosted = strings(&["no scheme here", "http://b.example/x"]);
+            p.push_links(IocKind::Url, &hosted, EdgeKind::HostedOn, true);
+            assert_eq!((p.links.len(), p.dropped, p.dropped_hosted), (2, 1, 1));
+            QueryRecord {
+                cost: QueryCost {
+                    retried: 0,
+                    backoff_ms: 0,
+                    outcome: QueryOutcome::Success,
+                },
+                payload: Some(p),
+            }
         };
         let domain = Ioc::parse_as(IocKind::Domain, "a.example").unwrap();
         for (expand, dropped, edges, queued) in [(false, 1, 0, 0), (true, 2, 2, 2)] {
@@ -772,7 +774,7 @@ mod tests {
             let node = tkg.upsert_ioc_ref(domain.key_ref());
             let mut secondary = Vec::new();
             let mut stats = IngestStats::default();
-            enricher.apply(&mut tkg, node, expand, &rec, &mut secondary, &mut stats);
+            enricher.apply(&mut tkg, node, expand, record(), &mut secondary, &mut stats);
             assert_eq!(stats.dropped_unparseable, dropped, "expand={expand}");
             assert_eq!(stats.edges, edges, "expand={expand}");
             assert_eq!(secondary.len(), queued, "expand={expand}");

@@ -8,9 +8,8 @@
 //! data: the per-node codes, the shared SAGE architecture and its
 //! trained parameters. `trail-serve` owns the bundle format and this
 //! module the training recipe, so the two evolve independently. The one
-//! piece of encoding here is the model section TSB1 bundles and TSC1
-//! checkpoints share byte for byte: matrices, the [`SageConfig`] and the
-//! per-layer weight list.
+//! piece of encoding here is the model section of TSB1 bundles:
+//! matrices, the [`SageConfig`] and the per-layer weight list.
 
 use rand::Rng;
 use trail_gnn::{SageConfig, SageModel};
@@ -59,7 +58,7 @@ pub fn instantiate(cfg: SageConfig, layers: &[(Matrix, Matrix, Matrix)]) -> Sage
     model
 }
 
-// --- model section codec (TSB1 and TSC1) ----------------------------------
+// --- model section codec (TSB1) --------------------------------------------
 
 /// Append `rows:u64, cols:u64`, then the entries' f32 bits row-major.
 pub fn put_matrix(out: &mut Vec<u8>, m: &Matrix) {

@@ -35,7 +35,6 @@
 //! * [`system`] — the end-to-end orchestrator.
 
 pub mod attribute;
-pub mod checkpoint;
 pub mod collector;
 pub mod embed;
 pub mod enrich;

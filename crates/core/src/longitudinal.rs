@@ -11,31 +11,27 @@
 //! [`crate::stream::StreamRuntime`], the one monthly-window engine, and
 //! share its one RNG policy: the stale model is the one base model and
 //! the fresh model starts as a clone of it, so the monthly gap between
-//! them is paired. [`run_resumable_study`] also checkpoints at every
-//! tick boundary; for one seed both entry points produce the same
-//! [`StudyOutput`].
+//! them is paired. [`run_resumable_study`] also logs every push and
+//! tick to a write-ahead log and replays it on resume; for one seed
+//! both entry points produce the same [`StudyOutput`].
 
 use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use trail_gnn::train::predict_events;
-use trail_gnn::{FineTune, SageModel};
-use trail_graph::NodeId;
-use trail_ioc::{fnv1a, IocKind};
-use trail_linalg::Matrix;
+use trail_gnn::FineTune;
+use trail_ioc::report::RawReport;
 use trail_ml::metrics::ConfusionMatrix;
-use trail_ml::nn::autoencoder::{Autoencoder, AutoencoderConfig};
+use trail_ml::nn::autoencoder::AutoencoderConfig;
 use trail_osint::{mix64, OsintClient, DAYS_PER_MONTH};
 
 use crate::attribute::{train_event_gnn, GnnEvalConfig};
-use crate::checkpoint::{self, CheckpointError, StudyCheckpoint};
-use crate::embed::{assemble_gnn_input, compute_codes, train_autoencoders, SparseScaler};
+use crate::embed::{assemble_gnn_input, compute_codes, train_autoencoders};
 use crate::enrich::IngestStats;
-use crate::freeze::instantiate;
-use crate::stream::{tick_key, AsofPolicy, StreamConfig, StreamRuntime};
+use crate::stream::wal::{self, DurableStream, FsyncPolicy, WalConfig, WalError};
+use crate::stream::{AsofPolicy, StreamConfig, StreamRuntime};
 use crate::system::TrailSystem;
-use crate::tkg::Tkg;
 
 /// Study parameters.
 #[derive(Debug, Clone)]
@@ -117,7 +113,7 @@ pub fn run_monthly_study(seed: u64, sys: TrailSystem, cfg: &StudyConfig) -> Stud
     let rng = StdRng::seed_from_u64(seed);
     let mut rt = StreamRuntime::new(rng, sys, study_stream_config(cfg, cutoff));
     for month in 0..cfg.months {
-        push_window(&mut rt, cutoff, month);
+        rt.push_batch(&window_reports(&rt.system().client, cutoff, month));
         rt.tick();
     }
     rt.into_study_output()
@@ -137,13 +133,12 @@ fn study_stream_config(cfg: &StudyConfig, cutoff: u32) -> StreamConfig {
     }
 }
 
-/// Push window `month`'s reports into the runtime. The caller then
-/// closes the window with one tick; an empty window still consumes its
-/// tick (and month index).
-fn push_window(rt: &mut StreamRuntime, cutoff: u32, month: u32) {
+/// Window `month`'s reports in canonical arrival order. The caller
+/// pushes them and closes the window with one tick; an empty window
+/// still consumes its tick (and month index).
+fn window_reports(client: &OsintClient, cutoff: u32, month: u32) -> Vec<RawReport> {
     let lo = cutoff + month * DAYS_PER_MONTH;
-    let reports = rt.system().client.stream_reports(lo, lo + DAYS_PER_MONTH);
-    rt.push_batch(&reports);
+    client.stream_reports(lo, lo + DAYS_PER_MONTH)
 }
 
 // ---------------------------------------------------------------------------
@@ -160,134 +155,35 @@ pub fn stage_rng(seed: u64, stage: u64) -> StdRng {
     StdRng::seed_from_u64(mix64(seed ^ stage.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
-/// Fingerprint of everything that shapes a study run: the world seed,
-/// the build cutoff and every study hyper-parameter. A checkpoint with
-/// a different fingerprint is rejected instead of silently blended
-/// into a differently-configured run.
-fn study_fingerprint(cfg: &StudyConfig, world_seed: u64, cutoff: u32) -> u64 {
-    let mut b = Vec::with_capacity(96);
-    b.extend_from_slice(&world_seed.to_le_bytes());
-    b.extend_from_slice(&cutoff.to_le_bytes());
-    b.extend_from_slice(&cfg.months.to_le_bytes());
-    b.extend_from_slice(&(cfg.gnn_layers as u64).to_le_bytes());
-    b.extend_from_slice(&(cfg.gnn.hidden as u64).to_le_bytes());
-    b.extend_from_slice(&cfg.gnn.train.lr.to_bits().to_le_bytes());
-    b.extend_from_slice(&(cfg.gnn.train.epochs as u64).to_le_bytes());
-    b.extend_from_slice(&(cfg.gnn.train.patience as u64).to_le_bytes());
-    b.extend_from_slice(&cfg.gnn.val_fraction.to_bits().to_le_bytes());
-    b.push(cfg.gnn.l2_normalize as u8);
-    b.extend_from_slice(&cfg.gnn.label_visible_fraction.to_bits().to_le_bytes());
-    // `sampled_neighbor_cap` can only be `None` now. Its `0` byte
-    // stays, so checkpoints written before (all `None`) still resume.
-    b.push(0);
-    b.extend_from_slice(&(cfg.ae.hidden as u64).to_le_bytes());
-    b.extend_from_slice(&(cfg.ae.code as u64).to_le_bytes());
-    b.extend_from_slice(&cfg.ae.lr.to_bits().to_le_bytes());
-    b.extend_from_slice(&(cfg.ae.epochs as u64).to_le_bytes());
-    b.extend_from_slice(&(cfg.ae.batch_size as u64).to_le_bytes());
-    b.extend_from_slice(&cfg.fine_tune.lr.to_bits().to_le_bytes());
-    b.extend_from_slice(&(cfg.fine_tune.epochs as u64).to_le_bytes());
-    fnv1a(&b)
-}
-
-fn encode_pairs(pairs: &[(NodeId, u16)]) -> Vec<(u32, u16)> {
-    pairs.iter().map(|&(n, c)| (n.index() as u32, c)).collect()
-}
-
-fn decode_pairs(pairs: &[(u32, u16)]) -> Vec<(NodeId, u16)> {
-    pairs
-        .iter()
-        .map(|&(n, c)| (NodeId::from(n as usize), c))
-        .collect()
-}
-
-fn clone_sage_layers(model: &SageModel) -> Vec<(Matrix, Matrix, Matrix)> {
-    model
-        .weights()
-        .into_iter()
-        .map(|(wr, wn, b)| (wr.clone(), wn.clone(), b.clone()))
-        .collect()
-}
-
-fn clone_encoder_layers(encoders: &[Autoencoder]) -> Vec<Vec<(Matrix, Matrix)>> {
-    encoders
-        .iter()
-        .map(|ae| {
-            ae.layer_params()
-                .into_iter()
-                .map(|(w, b)| (w.clone(), b.clone()))
-                .collect()
-        })
-        .collect()
-}
-
-fn restore_autoencoder(layers: &[(Matrix, Matrix)]) -> checkpoint::Result<Autoencoder> {
-    if layers.len() != 4 {
-        return Err(CheckpointError::Mismatch {
-            what: "autoencoder layer count",
-        });
-    }
-    // Recover the architecture from the weight shapes: enc1 is
-    // (d_in × hidden), enc2 is (hidden × code).
-    let d_in = layers[0].0.rows();
-    let cfg = AutoencoderConfig {
-        hidden: layers[0].0.cols(),
-        code: layers[1].0.cols(),
-        ..Default::default()
-    };
-    let mut ae = Autoencoder::new(&mut StdRng::seed_from_u64(0), d_in, &cfg);
-    for (l, (w, b)) in layers.iter().enumerate() {
-        ae.set_layer_params(l, w.clone(), b.clone());
-    }
-    Ok(ae)
-}
-
-/// Snapshot the runtime's study state at a tick boundary.
-fn checkpoint_of(
-    rt: &StreamRuntime,
-    seed: u64,
-    fingerprint: u64,
-    base_pairs: &[(u32, u16)],
-    months: &[MonthResult],
-) -> StudyCheckpoint {
-    StudyCheckpoint {
-        seed,
-        fingerprint,
-        next_month: rt.ticks_fired(),
-        months: months.to_vec(),
-        confusion: rt.confusion.clone(),
-        window_ingest: rt.window_ingest.clone(),
-        base_pairs: base_pairs.to_vec(),
-        fresh_visible: encode_pairs(&rt.fresh_visible),
-        sage_cfg: *rt.stale_model.config(),
-        stale: clone_sage_layers(&rt.stale_model),
-        fresh: clone_sage_layers(&rt.fresh_model),
-        encoders: clone_encoder_layers(&rt.encoders),
-    }
-}
-
-/// Run the monthly study with a crash-safe checkpoint after every
-/// window, resuming from `dir` when a checkpoint is already there.
+/// Run the monthly study as a durable stream, resuming from the
+/// write-ahead log in `dir` when one is already there.
 ///
 /// The same [`StreamRuntime`] loop as [`run_monthly_study`], built
-/// from the same `StdRng::seed_from_u64(seed)`, with the checkpoint
-/// written at every tick boundary, empty windows included.
+/// from the same `StdRng::seed_from_u64(seed)`, wrapped in a
+/// [`DurableStream`] over `dir` (`OnTick` fsync, default segments):
+/// every report is logged before it is pushed, and every window's tick
+/// is logged, and synced, before it fires. Old files in `dir` that are
+/// not log segments (a `study.ckpt` from an earlier version) are
+/// ignored.
 ///
 /// Determinism contract: for a fixed `(client world, cutoff, cfg,
 /// seed)`, any sequence of kills and resumes produces a `StudyOutput`
 /// bitwise-identical to an uninterrupted run, and to
-/// [`run_monthly_study`] over the same base system. On resume nothing
-/// is trained: the tick key is re-derived from the seed, the scalers
-/// are refitted on the base TKG, the completed windows' reports are
-/// pushed again (the world's faults and gaps are deterministic per
-/// query, so the replayed graph is exact), and the models, visible
-/// labels and statistics come from the checkpoint; the CSR, code cache
-/// and input matrix are rebuilt from the replayed graph.
+/// [`run_monthly_study`] over the same base system. A resume stores
+/// no trained state: it retrains the base models from the seed,
+/// replays the log (pushes and ticks in log order, so every completed
+/// window is ingested, evaluated and fine-tuned again), pushes the
+/// rest of the current window and carries on. A resume with other
+/// hyper-parameters or another seed therefore equals an uninterrupted
+/// run with those. A log that is not a prefix of this study's own
+/// record sequence (another world or cutoff, or more windows than
+/// `cfg.months`) is refused with [`WalError::Foreign`] before anything
+/// is trained.
 ///
 /// `kill_after_window: Some(m)` simulates a crash: the run stops right
-/// after window `m`'s checkpoint is durably on disk and returns
-/// `Ok(None)`. The chaos drills (`tests/chaos_test.rs`) drive this
-/// from [`trail_osint::ChaosPlan::kill_windows`].
+/// after window `m`'s tick record is durable and its tick has run,
+/// and returns `Ok(None)`. The chaos drills (`tests/chaos_test.rs`)
+/// drive this from [`trail_osint::ChaosPlan::kill_windows`].
 pub fn run_resumable_study(
     client: OsintClient,
     cutoff: u32,
@@ -295,103 +191,54 @@ pub fn run_resumable_study(
     seed: u64,
     dir: &Path,
     kill_after_window: Option<u32>,
-) -> checkpoint::Result<Option<StudyOutput>> {
-    std::fs::create_dir_all(dir)
-        .map_err(|e| CheckpointError::Persist(trail_graph::PersistError::Io(e)))?;
-    let ckpt_path = dir.join("study.ckpt");
-    let fingerprint = study_fingerprint(cfg, client.world().config.seed, cutoff);
-
-    let prior = if ckpt_path.exists() {
-        Some(StudyCheckpoint::load(&ckpt_path)?)
-    } else {
-        None
-    };
-
-    // The base build is deterministic, so fresh and resumed runs start
-    // from the identical TKG.
-    let sys = TrailSystem::build(client, cutoff);
-    let base_pairs: Vec<(u32, u16)> = sys
-        .tkg
-        .events
-        .iter()
-        .map(|e| (e.node.index() as u32, e.apt))
+) -> Result<Option<StudyOutput>, WalError> {
+    let windows: Vec<Vec<RawReport>> = (0..cfg.months)
+        .map(|m| window_reports(&client, cutoff, m))
         .collect();
-    let stream_cfg = study_stream_config(cfg, cutoff);
+    std::fs::create_dir_all(dir)?;
+    check_prefix(dir, &windows)?;
+
+    let sys = TrailSystem::build(client, cutoff);
     let rng = StdRng::seed_from_u64(seed);
-
-    let (mut rt, mut months) = match prior {
-        Some(ck) => {
-            if ck.fingerprint != fingerprint {
-                return Err(CheckpointError::Mismatch {
-                    what: "run fingerprint",
-                });
-            }
-            if ck.seed != seed {
-                return Err(CheckpointError::Mismatch { what: "study seed" });
-            }
-            if ck.base_pairs != base_pairs {
-                return Err(CheckpointError::Mismatch {
-                    what: "base event labels",
-                });
-            }
-            // Scalers are fitted on the base TKG and frozen for every
-            // window. Refitting them here, before any replay,
-            // reproduces them exactly, so they are never checkpointed.
-            let scalers: Vec<SparseScaler> = IocKind::ALL
-                .iter()
-                .map(|&k| SparseScaler::fit(&sys.tkg.featured_nodes(k), Tkg::dims_of(k)))
-                .collect();
-            let encoders = ck
-                .encoders
-                .iter()
-                .map(|l| restore_autoencoder(l))
-                .collect::<checkpoint::Result<_>>()?;
-            let mut rt = StreamRuntime::from_trained(
-                tick_key(&rng),
-                sys,
-                stream_cfg,
-                encoders,
-                scalers,
-                instantiate(ck.sage_cfg, &ck.stale),
-                instantiate(ck.sage_cfg, &ck.fresh),
-            );
-            for m in 0..ck.next_month {
-                push_window(&mut rt, cutoff, m);
-            }
-            rt.restore_windows(
-                ck.next_month,
-                decode_pairs(&ck.fresh_visible),
-                ck.confusion,
-                ck.window_ingest,
-            );
-            (rt, ck.months)
-        }
-        None => {
-            let rt = StreamRuntime::new(rng, sys, stream_cfg);
-            // Checkpoint the trained base state so a crash before the
-            // first window completes doesn't redo the training.
-            checkpoint_of(&rt, seed, fingerprint, &base_pairs, &[]).save(&ckpt_path)?;
-            (rt, Vec::new())
-        }
+    let rt = StreamRuntime::new(rng, sys, study_stream_config(cfg, cutoff));
+    let wal_cfg = WalConfig {
+        fsync: FsyncPolicy::OnTick,
+        ..WalConfig::new(dir)
     };
+    let (mut stream, _) = DurableStream::recover(wal_cfg, rt)?;
 
-    for month in rt.ticks_fired()..cfg.months {
-        push_window(&mut rt, cutoff, month);
-        if let Some(tick) = rt.tick() {
-            months.push(tick.result);
+    // Reports of the current window that the log already holds.
+    let done = stream.runtime().ticks_fired() as usize;
+    let mut skip =
+        stream.wal().records() as usize - windows[..done].iter().map(Vec::len).sum::<usize>();
+    for (month, window) in (0..).zip(&windows).skip(done) {
+        for report in &window[skip..] {
+            stream.push(report)?;
         }
-        checkpoint_of(&rt, seed, fingerprint, &base_pairs, &months).save(&ckpt_path)?;
+        skip = 0;
+        stream.tick()?;
         if kill_after_window == Some(month) {
             return Ok(None);
         }
     }
+    Ok(Some(stream.into_runtime().into_study_output()))
+}
 
-    // The runtime only holds this process's ticks; `months` also has
-    // the ones restored from the checkpoint.
-    Ok(Some(StudyOutput {
-        months,
-        ..rt.into_study_output()
-    }))
+/// Refuse the log in `dir` unless it is a prefix of the study's record
+/// sequence: each window's reports in arrival order, then its tick.
+fn check_prefix(dir: &Path, windows: &[Vec<RawReport>]) -> Result<(), WalError> {
+    let (reports, rep) = wal::scan(dir)?;
+    let mut expected = windows
+        .iter()
+        .flat_map(|w| w.iter().map(Some).chain([None]));
+    let first_foreign =
+        wal::log_order(&reports, &rep.ticks).position(|got| expected.next() != Some(got));
+    match first_foreign {
+        Some(record) => Err(WalError::Foreign {
+            record: record as u64,
+        }),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -619,37 +466,43 @@ mod tests {
         std::fs::remove_dir_all(&dir_kill).ok();
     }
 
+    /// No trained state is stored, so a resume under another seed or
+    /// another fine-tune rate cannot blend two runs: it equals an
+    /// uninterrupted run with the new parameters.
     #[test]
-    fn resume_with_different_parameters_is_rejected() {
+    fn resume_with_different_parameters_equals_a_fresh_run_with_them() {
         let cfg = tiny_cfg();
         let cutoff = tiny_client().world().config.cutoff_day;
-        let dir = temp_study_dir("mismatch");
-        run_resumable_study(tiny_client(), cutoff, &cfg, 5, &dir, Some(0)).expect("killed run");
-
-        // Different study seed: refuse.
-        match run_resumable_study(tiny_client(), cutoff, &cfg, 6, &dir, None) {
-            Err(CheckpointError::Mismatch { what }) => assert_eq!(what, "study seed"),
-            other => panic!("expected seed mismatch, got {other:?}"),
-        }
-        // Different hyper-parameters: refuse.
         let mut other_lr = cfg.clone();
         other_lr.fine_tune.lr *= 2.0;
-        match run_resumable_study(tiny_client(), cutoff, &other_lr, 5, &dir, None) {
-            Err(CheckpointError::Mismatch { what }) => assert_eq!(what, "run fingerprint"),
-            other => panic!("expected fingerprint mismatch, got {other:?}"),
+        for (tag, resume_cfg, resume_seed) in [("seed", &cfg, 6), ("lr", &other_lr, 5)] {
+            let dir = temp_study_dir(&format!("changed-{tag}"));
+            run_resumable_study(tiny_client(), cutoff, &cfg, 5, &dir, Some(0)).expect("killed run");
+            let resumed =
+                run_resumable_study(tiny_client(), cutoff, resume_cfg, resume_seed, &dir, None)
+                    .expect("resume")
+                    .expect("ran to completion");
+            let fresh = run_monthly_study(resume_seed, tiny_sys(), resume_cfg);
+            assert_eq!(resumed, fresh, "resume with another {tag}");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Checkpoints written before `sampled_neighbor_cap` lost its
-    /// values (all `None`) must still resume: the fingerprint of a
-    /// fixed config keeps its value.
+    /// A log written by a study over another world is not a prefix of
+    /// this study's records: refused before anything is trained.
     #[test]
-    fn study_fingerprint_is_pinned() {
-        assert_eq!(
-            study_fingerprint(&tiny_cfg(), 77, 400),
-            0x1abf_f84e_7951_4ade
-        );
+    fn resume_from_another_worlds_log_is_rejected() {
+        let cfg = tiny_cfg();
+        let other = || OsintClient::new(Arc::new(World::generate(WorldConfig::tiny(124))));
+        let cutoff = tiny_client().world().config.cutoff_day;
+        assert_eq!(other().world().config.cutoff_day, cutoff);
+        let dir = temp_study_dir("foreign");
+        run_resumable_study(other(), cutoff, &cfg, 5, &dir, Some(0)).expect("killed run");
+        match run_resumable_study(tiny_client(), cutoff, &cfg, 5, &dir, None) {
+            Err(WalError::Foreign { record: 0 }) => {}
+            other => panic!("expected a foreign-log error at record 0, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -74,12 +74,14 @@
 //!
 //! The replay story above assumes the feed can be replayed. The
 //! [`wal`] module removes that assumption: a TWL1 write-ahead log
-//! persists every pushed report *before* it is processed, and
-//! [`DurableStream`] recovers the surviving prefix after a crash —
-//! truncating at the first torn record — into a state bitwise
-//! identical to an uninterrupted run over that prefix, provided ticks
-//! come from the `tick_every` cadence: the log records pushes, not
-//! hand-fired ticks. See the module docs for the frame format, fsync
+//! persists every pushed report and every hand-fired tick *before* it
+//! is processed, and [`DurableStream`] recovers the surviving prefix
+//! after a crash — truncating at the first torn record — into a state
+//! bitwise identical to an uninterrupted run over that prefix, whether
+//! ticks come from the `tick_every` cadence or from
+//! [`DurableStream::tick`]. It is the one recovery path: the resumable
+//! study ([`crate::longitudinal::run_resumable_study`]) is a durable
+//! stream too. See the module docs for the frame format, fsync
 //! policies and crash windows.
 
 use std::time::Instant;
@@ -119,9 +121,6 @@ pub use wal::{DurableStream, FsyncPolicy, RecoveryReport, Tear, Wal, WalConfig, 
 /// deterministically — rather than from arrival time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsofPolicy {
-    /// Every event analysed as of one fixed day (a frozen snapshot of
-    /// the intelligence sources).
-    Fixed(u32),
     /// Events analysed as of the end of the `stride`-day window
     /// containing them, windows anchored at `origin` — exactly the
     /// monthly study's `Enricher::new(client, hi)` semantics when
@@ -138,16 +137,12 @@ pub enum AsofPolicy {
 impl AsofPolicy {
     /// The as-of day for a report created on `day`.
     pub fn asof_for(&self, day: u32) -> u32 {
-        match *self {
-            AsofPolicy::Fixed(d) => d,
-            AsofPolicy::WindowEnd { origin, stride } => {
-                let s = stride.max(1);
-                if day < origin {
-                    origin
-                } else {
-                    origin + ((day - origin) / s + 1) * s
-                }
-            }
+        let AsofPolicy::WindowEnd { origin, stride } = *self;
+        let s = stride.max(1);
+        if day < origin {
+            origin
+        } else {
+            origin + ((day - origin) / s + 1) * s
         }
     }
 }
@@ -233,21 +228,19 @@ pub struct TickReport {
 
 /// The streaming ingestion runtime. See the module docs for the
 /// equivalence contract.
-/// The `pub(crate)` fields are the state the resumable study
-/// checkpoints at tick boundaries.
 pub struct StreamRuntime {
     sys: TrailSystem,
     cfg: StreamConfig,
     /// Tick `m` fine-tunes from `stage_rng(tick_key, m)` (module docs).
     tick_key: u64,
-    pub(crate) encoders: Vec<Autoencoder>,
+    encoders: Vec<Autoencoder>,
     scalers: Vec<SparseScaler>,
     code_dim: usize,
     base_pairs: Vec<(NodeId, u16)>,
-    pub(crate) stale_model: SageModel,
-    pub(crate) fresh_model: SageModel,
+    stale_model: SageModel,
+    fresh_model: SageModel,
     /// Labels visible to the fresh model: base events + past ticks.
-    pub(crate) fresh_visible: Vec<(NodeId, u16)>,
+    fresh_visible: Vec<(NodeId, u16)>,
     /// Frozen CSR as of the last sync; `None` only transiently.
     inc_csr: Option<Csr>,
     code_cache: CodeCache,
@@ -255,8 +248,8 @@ pub struct StreamRuntime {
     pending: Vec<(NodeId, u16)>,
     tick_index: u32,
     ticks: Vec<TickReport>,
-    pub(crate) confusion: Option<ConfusionMatrix>,
-    pub(crate) window_ingest: IngestStats,
+    confusion: Option<ConfusionMatrix>,
+    window_ingest: IngestStats,
     stream_collect: CollectStats,
     ledger: BudgetLedger,
 }
@@ -269,10 +262,10 @@ impl StreamRuntime {
     /// incremental state.
     pub fn new(mut rng: StdRng, sys: TrailSystem, cfg: StreamConfig) -> Self {
         let _span = trail_obs::span("stream.init");
-        let key = tick_key(&rng);
+        let tick_key = rng.clone().gen();
         let (emb, encoders, scalers) =
             train_autoencoders_with_scalers(&mut rng, &sys.tkg, &cfg.study.ae);
-        let base = crate::freeze::train_frozen_from(
+        let fresh_model = crate::freeze::train_frozen_from(
             &mut rng,
             &sys.tkg,
             emb,
@@ -280,37 +273,21 @@ impl StreamRuntime {
             cfg.study.gnn_layers,
         )
         .instantiate();
-        Self::from_trained(key, sys, cfg, encoders, scalers, base.clone(), base)
-    }
-
-    /// A runtime over trained (or restored) encoders and models;
-    /// `scalers` must be the ones fitted on the base TKG.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_trained(
-        tick_key: u64,
-        sys: TrailSystem,
-        cfg: StreamConfig,
-        encoders: Vec<Autoencoder>,
-        scalers: Vec<SparseScaler>,
-        stale_model: SageModel,
-        fresh_model: SageModel,
-    ) -> Self {
         let code_dim = encoders.first().map_or(0, |ae| ae.code_dim());
         let base_pairs = sys.tkg.event_pairs();
-        let fresh_visible = base_pairs.clone();
-        let mut rt = Self {
-            sys,
-            cfg,
+        let mut code_cache = CodeCache::new();
+        code_cache.refresh(&sys.tkg, &encoders, &scalers, cfg.study.ae.batch_size);
+        Self {
+            inc_csr: Some(sys.tkg.csr()),
+            code_cache,
             tick_key,
             encoders,
             scalers,
             code_dim,
+            fresh_visible: base_pairs.clone(),
             base_pairs,
-            stale_model,
+            stale_model: fresh_model.clone(),
             fresh_model,
-            fresh_visible,
-            inc_csr: None,
-            code_cache: CodeCache::new(),
             pending: Vec::new(),
             tick_index: 0,
             ticks: Vec::new(),
@@ -318,41 +295,9 @@ impl StreamRuntime {
             window_ingest: IngestStats::default(),
             stream_collect: CollectStats::default(),
             ledger: BudgetLedger::default(),
-        };
-        rt.rebuild_inputs();
-        rt
-    }
-
-    /// Build the frozen CSR and the code cache from scratch over the
-    /// current graph.
-    fn rebuild_inputs(&mut self) {
-        self.inc_csr = Some(self.sys.tkg.csr());
-        self.code_cache = CodeCache::new();
-        self.code_cache.refresh(
-            &self.sys.tkg,
-            &self.encoders,
-            &self.scalers,
-            self.cfg.study.ae.batch_size,
-        );
-    }
-
-    /// Reinstate a study checkpoint's window state once the completed
-    /// windows' reports have been pushed again: the replayed events
-    /// were already evaluated, so they leave `pending`, and the
-    /// incremental state is rebuilt from the replayed graph.
-    pub(crate) fn restore_windows(
-        &mut self,
-        ticks_fired: u32,
-        fresh_visible: Vec<(NodeId, u16)>,
-        confusion: Option<ConfusionMatrix>,
-        window_ingest: IngestStats,
-    ) {
-        self.pending.clear();
-        self.tick_index = ticks_fired;
-        self.fresh_visible = fresh_visible;
-        self.confusion = confusion;
-        self.window_ingest = window_ingest;
-        self.rebuild_inputs();
+            sys,
+            cfg,
+        }
     }
 
     /// Push one report through collect → enrich → merge. Timed against
@@ -722,12 +667,6 @@ impl StreamRuntime {
     }
 }
 
-/// The key a runtime built from `rng` derives its tick generators
-/// from: the first draw of a clone, so `rng` itself is left untouched.
-pub(crate) fn tick_key(rng: &StdRng) -> u64 {
-    rng.clone().gen()
-}
-
 /// Content fingerprint of a TKG: node count, edge count and the sorted
 /// degree sequence folded through fnv1a — the same identity the golden
 /// fixture tests pin, packaged for stream-vs-batch comparison.
@@ -841,7 +780,6 @@ mod tests {
             600,
             "pre-origin events analysed as of origin"
         );
-        assert_eq!(AsofPolicy::Fixed(700).asof_for(612), 700);
     }
 
     #[test]

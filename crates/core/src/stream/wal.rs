@@ -2,20 +2,24 @@
 //! wrapper that replays it.
 //!
 //! [`super::StreamRuntime`]'s crash-recovery story is event sourcing:
-//! the feed is the log, so replaying the same reports reconstructs the
-//! same state bit for bit. That story has a hole in a long-running
-//! deployment: a crash between checkpoints loses every pushed-but-
-//! unpersisted event unless the *feed itself* can be re-queried from
-//! the exact cursor — which real exchanges do not guarantee. The WAL
-//! closes the hole locally: every report pushed through
-//! [`DurableStream`] is appended to an on-disk segment log *before*
-//! the runtime processes it, so recovery is always a local replay.
+//! replaying the same reports and ticks reconstructs the same state
+//! bit for bit. That story needs the inputs: a crash loses every
+//! pushed-but-unpersisted event unless the *feed itself* can be
+//! re-queried from the exact cursor — which real exchanges do not
+//! guarantee. The WAL closes the hole locally: every report pushed
+//! through [`DurableStream`], and every tick fired through it, is
+//! appended to an on-disk segment log *before* the runtime processes
+//! it, so recovery is always a local replay. It is the system's one
+//! recovery path: no model state is ever written, because the replay
+//! retrains it.
 //!
 //! ## Record frame
 //!
 //! Each record is one envelope of [`trail_graph::frame`] with magic
-//! `"TWL1"`, version 1 (DESIGN.md §9). The payload is a compact binary
-//! [`RawReport`] encoding. Segments
+//! `"TWL1"`, version 1 (DESIGN.md §9). A push record's payload is a
+//! compact binary [`RawReport`] encoding, at least 16 bytes long. A
+//! tick record has an empty payload, which no report encodes to: it
+//! marks where [`DurableStream::tick`] fired. Segments
 //! are plain frame concatenations named `wal-<8-hex-digits>.twl`;
 //! once a segment reaches [`WalConfig::segment_bytes`] it is *sealed*
 //! (fsynced, never written again) and a fresh segment opens. A
@@ -38,11 +42,11 @@
 //! ## What the WAL does and does not protect
 //!
 //! Durability of an appended record depends on the [`FsyncPolicy`]:
-//! `Always` bounds loss to the in-flight append, `EveryN(n)` to the
-//! last `n` appends, `OnTick` to the current tick window. The WAL
-//! protects *pushed events*; it does not snapshot model state — the
-//! replay retrains deterministically — and it does not defend sealed
-//! segments against bit rot beyond detecting it (keep checkpoints for
+//! `Always` bounds loss to the in-flight append, `OnTick` to the
+//! current tick window. The WAL protects pushed events and the ticks
+//! fired on them; it does not snapshot model state — the replay
+//! retrains deterministically — and it does not defend sealed segments
+//! against bit rot beyond detecting it (keep bundle snapshots for
 //! that; see DESIGN.md §14).
 
 use std::fs::{File, OpenOptions};
@@ -90,6 +94,13 @@ pub enum WalError {
         /// The offending directory.
         dir: PathBuf,
     },
+    /// The log is intact but is not a prefix of the record sequence
+    /// its replayer expects: it was written by another run.
+    Foreign {
+        /// Index of the first record (reports and ticks counted in log
+        /// order) that differs from the expected sequence.
+        record: u64,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -119,6 +130,9 @@ impl std::fmt::Display for WalError {
             WalError::NotEmpty { dir } => {
                 write!(f, "wal dir {} already holds segments", dir.display())
             }
+            WalError::Foreign { record } => {
+                write!(f, "log record {record} belongs to another run")
+            }
         }
     }
 }
@@ -144,12 +158,10 @@ pub enum FsyncPolicy {
     /// `fdatasync` after every append: a crash loses at most the
     /// in-flight record.
     Always,
-    /// `fdatasync` every `n` appends (and on seal): a crash loses at
-    /// most the last `n` records.
-    EveryN(u64),
     /// `fdatasync` only when the stream ticks (and on seal): the crash
     /// window is the current tick's events — cheapest, and exactly the
-    /// window a tick-granular consumer already tolerates.
+    /// window a tick-granular consumer already tolerates. A logged
+    /// tick's own record is the one the barrier makes durable.
     OnTick,
 }
 
@@ -185,12 +197,15 @@ pub struct Tear {
 }
 
 /// What a recovery scan found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
     /// Segments scanned (including empty ones).
     pub segments: u64,
-    /// Complete records recovered.
+    /// Complete push records recovered.
     pub records: u64,
+    /// One entry per complete tick record, in log order: the number of
+    /// push records before it.
+    pub ticks: Vec<u64>,
     /// The torn tail, if the last segment ended mid-append.
     pub tear: Option<Tear>,
 }
@@ -202,7 +217,6 @@ pub struct Wal {
     file: File,
     seg_index: u64,
     seg_len: u64,
-    appended_since_sync: u64,
     records: u64,
 }
 
@@ -231,7 +245,7 @@ fn fsync_dir(dir: &Path) -> std::io::Result<()> {
 }
 
 /// Sorted indices of the segments present in `dir`. Non-segment files
-/// are ignored (the dir may hold bundles or checkpoints too).
+/// are ignored (the dir may hold bundles or other files too).
 fn list_segments(dir: &Path) -> std::io::Result<Vec<u64>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(dir)? {
@@ -291,7 +305,7 @@ fn decode_report(payload: &[u8]) -> Result<RawReport, PersistError> {
     })
 }
 
-/// Frame one payload.
+/// Frame one payload; an empty payload is a tick record.
 fn frame(payload: &[u8]) -> Vec<u8> {
     frame::encode(&MAGIC, VERSION, payload)
 }
@@ -325,7 +339,6 @@ impl Wal {
             file,
             seg_index: 0,
             seg_len: 0,
-            appended_since_sync: 0,
             records: 0,
         })
     }
@@ -365,7 +378,6 @@ impl Wal {
                 file,
                 seg_index: last,
                 seg_len,
-                appended_since_sync: 0,
                 records: report.records,
             },
             records,
@@ -389,23 +401,8 @@ impl Wal {
     /// record to the runtime only after this returns.
     pub fn append(&mut self, report: &RawReport) -> Result<(), WalError> {
         let t = std::time::Instant::now();
-        let bytes = frame(&encode_report(report));
-        self.file.write_all(&bytes)?;
-        self.seg_len += bytes.len() as u64;
+        self.write_record(&frame(&encode_report(report)), false)?;
         self.records += 1;
-        self.appended_since_sync += 1;
-        match self.cfg.fsync {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                if self.appended_since_sync >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::OnTick => {}
-        }
-        if self.seg_len >= self.cfg.segment_bytes {
-            self.rotate()?;
-        }
         trail_obs::counter_add("stream.wal.appended", 1);
         trail_obs::observe(
             "stream.wal.append_us",
@@ -415,10 +412,30 @@ impl Wal {
         Ok(())
     }
 
+    /// Append a tick record: durable on return under either policy, so
+    /// a tick fires only once the log holds it.
+    pub fn append_tick(&mut self) -> Result<(), WalError> {
+        self.write_record(&frame(&[]), true)
+    }
+
+    /// Write one framed record, sync it under `Always` (or under
+    /// `OnTick` when it is a `barrier`), and seal the segment once it
+    /// is full.
+    fn write_record(&mut self, bytes: &[u8], barrier: bool) -> Result<(), WalError> {
+        self.file.write_all(bytes)?;
+        self.seg_len += bytes.len() as u64;
+        if barrier || self.cfg.fsync == FsyncPolicy::Always {
+            self.sync()?;
+        }
+        if self.seg_len >= self.cfg.segment_bytes {
+            self.rotate()?;
+        }
+        Ok(())
+    }
+
     /// Force everything appended so far to stable storage.
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.file.sync_data()?;
-        self.appended_since_sync = 0;
         Ok(())
     }
 
@@ -430,12 +447,12 @@ impl Wal {
         self.seg_index += 1;
         self.file = Self::new_segment(&self.cfg.dir, self.seg_index)?;
         self.seg_len = 0;
-        self.appended_since_sync = 0;
         trail_obs::counter_add("stream.wal.rotations", 1);
         Ok(())
     }
 
-    /// Records appended or recovered over this log's lifetime.
+    /// Push records appended or recovered over this log's lifetime
+    /// (tick records are not counted).
     pub fn records(&self) -> u64 {
         self.records
     }
@@ -447,8 +464,9 @@ impl Wal {
 }
 
 /// Scan a log directory read-only (no truncation, no file opens for
-/// write): the records that *would* be recovered plus the report.
-/// Drills use this to probe kill points without mutating the log.
+/// write): the reports that *would* be recovered plus the report,
+/// which places the tick records between them. Drills use this to
+/// probe kill points without mutating the log.
 pub fn scan(dir: &Path) -> Result<(Vec<RawReport>, RecoveryReport), WalError> {
     let segments = list_segments(dir)?;
     let mut records = Vec::new();
@@ -463,12 +481,16 @@ pub fn scan(dir: &Path) -> Result<(Vec<RawReport>, RecoveryReport), WalError> {
             let offset = pos as u64;
             match frame::decode_prefix(&MAGIC, VERSION, &data[pos..]) {
                 Ok((payload, len)) => {
-                    let r = decode_report(payload).map_err(|e| WalError::MalformedRecord {
-                        segment: idx,
-                        offset,
-                        what: what(e),
-                    })?;
-                    records.push(r);
+                    if payload.is_empty() {
+                        report.ticks.push(records.len() as u64);
+                    } else {
+                        let r = decode_report(payload).map_err(|e| WalError::MalformedRecord {
+                            segment: idx,
+                            offset,
+                            what: what(e),
+                        })?;
+                        records.push(r);
+                    }
                     pos += len;
                 }
                 Err(_) if i + 1 == segments.len() => {
@@ -492,13 +514,29 @@ pub fn scan(dir: &Path) -> Result<(Vec<RawReport>, RecoveryReport), WalError> {
     Ok((records, report))
 }
 
-/// A [`StreamRuntime`] whose pushes are logged write-ahead.
+/// The records of a scan in log order: `Some(report)` for a push
+/// record, `None` for a tick record. `ticks` holds the tick positions
+/// of [`RecoveryReport::ticks`].
+pub fn log_order<'a>(
+    reports: &'a [RawReport],
+    ticks: &'a [u64],
+) -> impl Iterator<Item = Option<&'a RawReport>> + 'a {
+    (0..=reports.len()).flat_map(move |i| {
+        let at = i as u64;
+        let here = ticks.partition_point(|&t| t <= at) - ticks.partition_point(|&t| t < at);
+        std::iter::repeat_n(None, here).chain(reports.get(i).map(Some))
+    })
+}
+
+/// A [`StreamRuntime`] whose pushes and ticks are logged write-ahead.
 ///
 /// Every report — including ones the collector will drop — is appended
-/// to the WAL *before* [`StreamRuntime::push`] sees it, so a replay
-/// reproduces not just the graph and model but the ledger and obs
-/// counters too (drops are deterministic collector verdicts, and the
-/// ledger counts issued reports, not just ingested ones).
+/// to the WAL *before* [`StreamRuntime::push`] sees it, and every tick
+/// fired through [`Self::tick`] or [`Self::finish`] is logged before it
+/// runs, so a replay reproduces not just the graph and model but the
+/// ledger, tick reports and obs counters too (drops are deterministic
+/// collector verdicts, and the ledger counts issued reports, not just
+/// ingested ones).
 pub struct DurableStream {
     wal: Wal,
     rt: StreamRuntime,
@@ -515,20 +553,18 @@ impl DurableStream {
 
     /// Recover: scan the log (truncating a torn tail), replay every
     /// surviving record through `rt` — which must be freshly built,
-    /// with no events pushed — and return the caught-up stream.
+    /// with no events pushed — and return the caught-up stream. An
+    /// empty or missing log recovers to `rt` itself.
     ///
-    /// The log holds pushes only, never ticks: replay re-fires exactly
-    /// the ticks [`StreamRuntime::push`] fires on its own, i.e. those
-    /// of the `tick_every` cadence. With a cadence set, the replayed
-    /// runtime is bitwise-identical (TKG + model fingerprints, ledger)
-    /// to one that pushed exactly the recovered records, because
-    /// pushes are deterministic given the base system and config — the
-    /// property `tests/wal_recovery_test.rs` pins at arbitrary kill
-    /// offsets. A stream ticked by hand (`tick_every: None`, the
-    /// setting perfbench and the monthly study use) recovers with no
-    /// tick fired: the replayed TKG and ledger match, but the model is
-    /// the base one and every recovered event is still pending. Call
-    /// [`Self::tick`] after recovery to train on them.
+    /// Pushes and tick records replay in log order. Ticks `push` fired
+    /// on its own under `tick_every` are not logged: the replayed
+    /// pushes fire them again. The recovered runtime is therefore
+    /// bitwise-identical (TKG and model fingerprints, tick reports,
+    /// ledger, tick count, pending events) to one that ran exactly the
+    /// recovered records, because pushes and ticks are deterministic
+    /// given the base system and config — the property
+    /// `tests/wal_recovery_test.rs` pins at arbitrary kill offsets,
+    /// both with a cadence and ticked by hand.
     pub fn recover(
         wal_cfg: WalConfig,
         mut rt: StreamRuntime,
@@ -541,8 +577,15 @@ impl DurableStream {
         let (wal, records, report) = Wal::open(wal_cfg)?;
         {
             let _span = trail_obs::span("stream.wal.replay");
-            for r in &records {
-                rt.push(r);
+            for record in log_order(&records, &report.ticks) {
+                match record {
+                    Some(r) => {
+                        rt.push(r);
+                    }
+                    None => {
+                        rt.tick();
+                    }
+                }
             }
         }
         Ok((Self { wal, rt }, report))
@@ -551,41 +594,35 @@ impl DurableStream {
     /// Log the report, then push it. The record is on disk (durable per
     /// the fsync policy) before the runtime touches it; if the append
     /// fails the event is *not* processed, keeping "in the runtime"
-    /// a subset of "in the log".
+    /// a subset of "in the log". A cadence tick the push fires is not
+    /// logged, but under `OnTick` it syncs the log.
     pub fn push(&mut self, report: &RawReport) -> Result<PushOutcome, WalError> {
         self.wal.append(report)?;
         let ticks_before = self.rt.ticks_fired();
         let outcome = self.rt.push(report);
-        if self.rt.ticks_fired() != ticks_before {
-            self.tick_barrier()?;
+        if self.rt.ticks_fired() != ticks_before && self.wal.cfg.fsync == FsyncPolicy::OnTick {
+            self.wal.sync()?;
         }
         Ok(outcome)
     }
 
-    /// Fire a tick (see [`StreamRuntime::tick`]), honouring the
-    /// `OnTick` fsync barrier. The tick itself is not logged, so
-    /// [`Self::recover`] does not replay it: only cadence ticks (those
-    /// `push` fires under `tick_every`) come back after a crash.
+    /// Log a tick record, then fire the tick (see
+    /// [`StreamRuntime::tick`]). The record is durable before the tick
+    /// runs, so [`Self::recover`] fires the same tick at the same place.
     pub fn tick(&mut self) -> Result<Option<TickReport>, WalError> {
-        let report = self.rt.tick();
-        self.tick_barrier()?;
-        Ok(report)
+        self.wal.append_tick()?;
+        Ok(self.rt.tick())
     }
 
-    /// Drain pending events with a final tick and sync the log.
+    /// Drain pending events with a final, logged tick, and leave the
+    /// log synced. With nothing pending no tick fires and none is
+    /// logged, exactly as [`StreamRuntime::finish`].
     pub fn finish(&mut self) -> Result<Option<TickReport>, WalError> {
-        let report = self.rt.finish();
-        self.wal.sync()?;
-        Ok(report)
-    }
-
-    /// The `OnTick` policy's barrier: everything the tick trained on
-    /// is durable once the tick completes.
-    fn tick_barrier(&mut self) -> Result<(), WalError> {
-        if self.wal.cfg.fsync == FsyncPolicy::OnTick {
+        if self.rt.pending_events() == 0 {
             self.wal.sync()?;
+            return Ok(None);
         }
-        Ok(())
+        self.tick()
     }
 
     /// The wrapped runtime.
@@ -603,6 +640,11 @@ impl DurableStream {
     /// The log.
     pub fn wal(&self) -> &Wal {
         &self.wal
+    }
+
+    /// Close the log and hand back the runtime.
+    pub fn into_runtime(self) -> StreamRuntime {
+        self.rt
     }
 }
 
@@ -994,12 +1036,70 @@ mod tests {
     }
 
     #[test]
+    fn tick_records_sit_between_reports_in_log_order() {
+        let dir = tmp_dir("ticks");
+        let rs = reports(3);
+        let mut cfg = WalConfig::new(&dir);
+        cfg.fsync = FsyncPolicy::OnTick;
+        {
+            let mut wal = Wal::create(cfg.clone()).unwrap();
+            wal.append_tick().unwrap();
+            wal.append(&rs[0]).unwrap();
+            wal.append_tick().unwrap();
+            wal.append(&rs[1]).unwrap();
+            wal.append(&rs[2]).unwrap();
+            wal.append_tick().unwrap();
+            wal.append_tick().unwrap();
+            assert_eq!(wal.records(), 3, "tick records are not reports");
+        }
+        // A tick record is a bare header: no report payload is empty.
+        assert!(
+            encode_report(&RawReport {
+                id: String::new(),
+                created_day: 0,
+                tags: Vec::new(),
+                indicators: Vec::new(),
+            })
+            .len()
+                >= 16
+        );
+        let (_, recovered, rep) = Wal::open(cfg).unwrap();
+        assert_eq!(recovered, rs);
+        assert_eq!((rep.records, &rep.ticks[..]), (3, &[0, 1, 3, 3][..]));
+        let order: Vec<Option<&str>> = log_order(&recovered, &rep.ticks)
+            .map(|r| r.map(|r| r.id.as_str()))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                None,
+                Some("r0000"),
+                None,
+                Some("r0001"),
+                Some("r0002"),
+                None,
+                None
+            ]
+        );
+        // Cut inside the last tick record: it tears, the rest survive.
+        let path = segment_path(&dir, 0);
+        let len = std::fs::metadata(&path).unwrap().len();
+        OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let (recovered, rep) = scan(&dir).unwrap();
+        assert_eq!(recovered.len(), 3);
+        assert_eq!(rep.ticks, [0, 1, 3]);
+        assert_eq!(rep.tear.map(|t| t.offset), Some(len - 24));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn fsync_policies_accept_appends() {
-        for policy in [
-            FsyncPolicy::Always,
-            FsyncPolicy::EveryN(4),
-            FsyncPolicy::OnTick,
-        ] {
+        for policy in [FsyncPolicy::Always, FsyncPolicy::OnTick] {
             let dir = tmp_dir("policy");
             let mut cfg = WalConfig::new(&dir);
             cfg.fsync = policy;

@@ -994,9 +994,9 @@ impl SageModel {
     /// Each training pass owns a fresh [`Adam`] whose bias-correction
     /// timestep starts at zero, so moments from an earlier pass are
     /// stale under the new timestep. They are also invisible to the
-    /// weight-only checkpoint format: letting them leak across passes
+    /// weight-only bundle format: letting them leak across passes
     /// would make a model's trajectory depend on optimiser history a
-    /// restored checkpoint cannot reproduce.
+    /// model rebuilt from its weights cannot reproduce.
     pub fn reset_optimizer_state(&mut self) {
         for layer in &mut self.layers {
             for p in [&mut layer.w_root, &mut layer.w_nbr, &mut layer.b] {
@@ -1057,8 +1057,7 @@ impl SageModel {
     /// bounded by the epsilon contract in `trail_linalg::quant`.
     ///
     /// Weight snapshots are cached and invalidated automatically when
-    /// parameters change ([`Self::step`], [`Self::set_layer_weights`],
-    /// checkpoint restores). Training state is untouched: interleaving
+    /// parameters change ([`Self::step`], [`Self::set_layer_weights`]). Training state is untouched: interleaving
     /// quantized forwards with f32 inference is safe, and the f32
     /// training trajectory stays bitwise-deterministic.
     ///

@@ -519,15 +519,15 @@ mod tests {
     /// A model rebuilt from saved weights alone must fine-tune along
     /// the exact trajectory of the original — i.e. optimiser moments
     /// from earlier training must not leak into the next fine-tune
-    /// pass. This is what makes a weight-only checkpoint sufficient
-    /// for bitwise crash recovery.
+    /// pass. This is what makes a weight-only artefact (a TSB1 bundle)
+    /// sufficient to carry a model on bit for bit.
     #[test]
     fn fine_tuning_a_weight_restored_model_is_bitwise_identical() {
         let (g, events) = clustered(8);
         let csr = Csr::from_store(&g);
         let cfg = SageConfig::new(3, 16, 2, 2);
         let mut original = trained_on_first_eight(&g, &events, 4);
-        // Rebuild from weight values only, as checkpoint restore does.
+        // Rebuild from weight values only, as a bundle load does.
         let mut restored = SageModel::new(&mut StdRng::seed_from_u64(999), cfg);
         for (l, (w_root, w_nbr, b)) in original.weights().into_iter().enumerate() {
             let (w_root, w_nbr, b) = (w_root.clone(), w_nbr.clone(), b.clone());

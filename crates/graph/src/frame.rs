@@ -1,6 +1,5 @@
 //! The frame codec shared by every on-disk format: TKG2 graph
-//! snapshots, TSC1 study checkpoints, TSB1 serve bundles and TWL1 log
-//! records (DESIGN.md §9 describes the envelope and the rules below).
+//! snapshots, TSB1 serve bundles and TWL1 log records (DESIGN.md §9 describes the envelope and the rules below).
 //!
 //! Each file — or, for TWL1, each record — is one envelope
 //! (little-endian):
@@ -120,12 +119,6 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append an `f64` as its little-endian bits.
-#[inline]
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
 /// Append a string as `u32 length + UTF-8 bytes`.
 #[inline]
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -196,12 +189,6 @@ impl<'a> Cursor<'a> {
     #[inline]
     pub fn u64(&mut self, what: &'static str) -> Result<u64> {
         self.array(what).map(u64::from_le_bytes)
-    }
-
-    /// An `f64` from its little-endian bits.
-    #[inline]
-    pub fn f64(&mut self, what: &'static str) -> Result<f64> {
-        self.u64(what).map(f64::from_bits)
     }
 
     /// A flag byte that must be exactly 0 or 1.

@@ -70,16 +70,6 @@ impl ConfusionMatrix {
         Self { counts }
     }
 
-    /// Rebuild from a square counts table (the checkpoint load path).
-    pub fn from_counts(counts: Vec<Vec<usize>>) -> Self {
-        let k = counts.len();
-        assert!(
-            counts.iter().all(|row| row.len() == k),
-            "counts must be square"
-        );
-        Self { counts }
-    }
-
     /// Count at `(truth, pred)`.
     pub fn get(&self, truth: usize, pred: usize) -> usize {
         self.counts[truth][pred]

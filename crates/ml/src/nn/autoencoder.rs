@@ -107,35 +107,6 @@ impl Autoencoder {
         loss
     }
 
-    /// Borrow the four dense layers' parameters in the fixed order
-    /// `enc1, enc2, dec1, dec2` as `(W, b)` pairs — the checkpoint
-    /// serialisation surface.
-    pub fn layer_params(&self) -> [(&Matrix, &Matrix); 4] {
-        [
-            (&self.enc1.w.value, &self.enc1.b.value),
-            (&self.enc2.w.value, &self.enc2.b.value),
-            (&self.dec1.w.value, &self.dec1.b.value),
-            (&self.dec2.w.value, &self.dec2.b.value),
-        ]
-    }
-
-    /// Replace layer `l`'s parameters (order as [`Self::layer_params`],
-    /// shape-checked). Optimiser moments reset — restoration happens
-    /// between training stages, never mid-stage.
-    pub fn set_layer_params(&mut self, l: usize, w: Matrix, b: Matrix) {
-        let layer = match l {
-            0 => &mut self.enc1,
-            1 => &mut self.enc2,
-            2 => &mut self.dec1,
-            3 => &mut self.dec2,
-            _ => panic!("autoencoder has 4 dense layers, asked for {l}"),
-        };
-        assert_eq!(w.shape(), layer.w.value.shape(), "W shape for layer {l}");
-        assert_eq!(b.shape(), layer.b.value.shape(), "b shape for layer {l}");
-        layer.w = super::Param::new(w);
-        layer.b = super::Param::new(b);
-    }
-
     /// Full training loop; returns per-epoch mean loss.
     pub fn train<R: Rng + ?Sized>(
         &mut self,
@@ -212,24 +183,6 @@ mod tests {
         let x = Matrix::zeros(5, 10);
         assert_eq!(ae.encode(&x).shape(), (5, 3));
         assert_eq!(ae.code_dim(), 3);
-    }
-
-    #[test]
-    fn layer_params_roundtrip_reproduces_the_model() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let cfg = AutoencoderConfig {
-            hidden: 8,
-            code: 3,
-            ..Default::default()
-        };
-        let ae = Autoencoder::new(&mut rng, 6, &cfg);
-        let mut copy = Autoencoder::new(&mut rng, 6, &cfg); // different init
-        for (l, (w, b)) in ae.layer_params().into_iter().enumerate() {
-            copy.set_layer_params(l, w.clone(), b.clone());
-        }
-        let x = Matrix::from_fn(4, 6, |r, c| (r * 2 + c) as f32 * 0.1);
-        assert_eq!(ae.encode(&x), copy.encode(&x));
-        assert_eq!(ae.layer_params(), copy.layer_params());
     }
 
     #[test]

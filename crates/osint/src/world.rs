@@ -1211,8 +1211,8 @@ impl Generator {
 ///
 /// Derived entirely from one seed by integer mixing (no RNG crate
 /// involved), so the same seed produces the same faults, the same
-/// mid-study kill points and the same snapshot-corruption offsets on
-/// every machine. The plan stays deliberately coarse: it perturbs the
+/// mid-study kill points and the same log-corruption offsets on every
+/// machine. The plan stays deliberately coarse: it perturbs the
 /// *world's* fault knobs and names where to crash/corrupt; the tests
 /// that drive it (`tests/chaos_test.rs`) decide what to assert.
 #[derive(Debug, Clone, PartialEq)]
@@ -1227,11 +1227,11 @@ pub struct ChaosPlan {
     /// faults, so enrichment must degrade rather than converge.
     pub feed_dead: bool,
     /// Study-window indices after which the run is killed and resumed
-    /// from the latest checkpoint (always non-empty, strictly
+    /// from its write-ahead log (always non-empty, strictly
     /// increasing).
     pub kill_windows: Vec<u32>,
-    /// Byte offsets (modulo snapshot length at use time) to flip in the
-    /// snapshot-corruption drill.
+    /// Byte offsets (modulo log length at use time) to flip in the
+    /// killed study's write-ahead log before it is resumed.
     pub corrupt_offsets: Vec<u64>,
     /// Byte offsets (modulo total WAL length at use time) at which the
     /// streaming writer is "killed" in the WAL drill of

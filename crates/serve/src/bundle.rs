@@ -11,7 +11,8 @@
 //!
 //! The file is the TSB1 format: magic `"TSB1"`, version 1, in the
 //! shared envelope of [`trail_graph::frame`] (DESIGN.md §9). The model
-//! section is the one [`trail::freeze`] shares with TSC1 checkpoints.
+//! section's codec lives in [`trail::freeze`], next to the recipe that
+//! produces the model.
 //! Loading checks the envelope and bounds every field read, then
 //! cross-validates the decoded pieces against each other (code rows vs
 //! node count, layer shapes vs architecture, event ids vs graph).
@@ -282,7 +283,7 @@ impl ServeBundle {
         )
     }
 
-    /// Write atomically (temp file + fsync + rename), like TKG2/TSC1.
+    /// Write atomically (temp file + fsync + rename), like TKG2.
     pub fn save(&self, path: &Path) -> Result<()> {
         write_atomic(path, &self.to_bytes())
     }

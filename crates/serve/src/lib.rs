@@ -6,7 +6,7 @@
 //!
 //! * [`bundle::ServeBundle`] — an immutable, checksummed snapshot of a
 //!   trained system (graph + events + codes + SAGE weights) in the
-//!   TSB1 frame format, written atomically like TKG2/TSC1 snapshots.
+//!   TSB1 frame format, written atomically like TKG2 snapshots.
 //! * [`runtime::ServeRuntime`] — a concurrent in-process request
 //!   runtime on the shared worker pool: circuit-breaker admission,
 //!   deterministic per-worker model replicas, per-request latency
@@ -178,6 +178,35 @@ mod tests {
             ServeBundle::from_bytes(&bytes[..bytes.len() - 1]),
             Err(PersistError::Truncated { .. })
         ));
+    }
+
+    /// A layer whose `W_root` is transposed (same bytes, wrong shape)
+    /// is refused by `freeze` and, behind a valid checksum, by the
+    /// decoder, rather than left to panic when a replica instantiates
+    /// it.
+    #[test]
+    fn mis_shaped_layer_weights_are_rejected() {
+        let tkg = tiny_tkg();
+        let mut frozen = tiny_frozen(&tkg);
+        let mut bytes = ServeBundle::freeze(&tkg, &frozen).unwrap().to_bytes();
+        frozen.layers[0].0 = frozen.layers[0].0.transpose();
+        let shape_error = |r: Result<ServeBundle, PersistError>| {
+            matches!(
+                r,
+                Err(PersistError::Malformed {
+                    offset: 0,
+                    what: "layer weight shape",
+                })
+            )
+        };
+        assert!(shape_error(ServeBundle::freeze(&tkg, &frozen)));
+        let mut layers = Vec::new();
+        trail::freeze::put_layers(&mut layers, &frozen.layers);
+        let at = bytes.len() - layers.len();
+        bytes[at..].copy_from_slice(&layers);
+        let checksum = trail_ioc::fnv1a(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+        assert!(shape_error(ServeBundle::from_bytes(&bytes)));
     }
 
     /// The `l2_normalize` byte decodes strictly, like every flag: a

@@ -3,7 +3,7 @@
 //! The workspace derives `Serialize`/`Deserialize` on ~50 types but never
 //! serializes them generically — all JSON output goes through
 //! `serde_json::Value` built by hand, and all binary persistence uses the
-//! repo's own TKG2/TSC1 framing. So the traits here are empty markers with
+//! repo's own TKG2/TSB1/TWL1 framing. So the traits here are empty markers with
 //! blanket impls, and the derive macros (re-exported from the stub
 //! `serde_derive`) expand to nothing.
 

@@ -8,8 +8,8 @@
 # Every invariant has exactly one checker, and every test runs once.
 #
 # Tier 1 builds the workspace, runs every test once (the seeded chaos
-# drills of tests/chaos_test.rs, which also refuse corrupted study
-# checkpoints, the kill-at-any-byte WAL drills of
+# drills of tests/chaos_test.rs, which also resume the study from
+# damaged write-ahead logs, the kill-at-any-byte WAL drills of
 # tests/wal_recovery_test.rs, the live re-freeze + hot-swap drill of
 # tests/hot_swap_test.rs, the stream == batch suite and the
 # zero-allocation / study-oracle tests included), then runs the

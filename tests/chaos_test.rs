@@ -6,26 +6,22 @@
 //!
 //! * seed 1 — survivable feed (55% transient faults), kills at windows
 //!   0 and 2: the kill-and-resume equivalence drill, which then hands
-//!   the resume a bit-flipped and a garbage checkpoint.
+//!   the resume the killed study's log with a byte flipped at each of
+//!   the plan's corruption offsets.
 //! * seed 4 — fully dead feed: the degradation-invariant drill.
-//! * seed 6 — survivable feed, late kill points: plan shape checks and
-//!   the snapshot-corruption drill share it with the other two.
 //!
 //! The invariants asserted here: a dead feed degrades the TKG but
 //! never wedges or corrupts the pipeline; crash-resume is
-//! bitwise-exact; damaged snapshots are rejected, never loaded.
+//! bitwise-exact; a damaged log is refused or recovered to the same
+//! study, never resumed into another one.
 
 mod common;
 
 use common::{chaos_client, obs_lock, temp_dir};
 use trail::attribute::GnnEvalConfig;
-use trail::checkpoint::StudyCheckpoint;
-use trail::enrich::IngestStats;
-use trail::longitudinal::{run_resumable_study, MonthResult, StudyConfig};
+use trail::longitudinal::{run_resumable_study, StudyConfig};
 use trail::system::TrailSystem;
-use trail_gnn::{FineTune, LabelPropagation, SageConfig, TrainConfig};
-use trail_linalg::Matrix;
-use trail_ml::metrics::ConfusionMatrix;
+use trail_gnn::{FineTune, LabelPropagation, TrainConfig};
 use trail_ml::nn::autoencoder::AutoencoderConfig;
 use trail_osint::ChaosPlan;
 
@@ -161,10 +157,13 @@ fn dead_feed_degrades_without_wedging() {
 }
 
 /// Kill-and-resume equivalence (chaos seed 1): killing the study at
-/// every window boundary the plan names and resuming from the
-/// checkpoint yields a `StudyOutput` bitwise-identical to the
+/// every window boundary the plan names and resuming from its
+/// write-ahead log yields a `StudyOutput` bitwise-identical to the
 /// uninterrupted run — under a breaker-armed, 55%-faulty feed. A
-/// resume from a damaged checkpoint then fails with `Err`.
+/// resume from the killed study's log with one byte flipped at each of
+/// the plan's corruption offsets returns `Err` or that same output,
+/// never another study: a flip in the last segment reads as a torn
+/// tail, so the resume replays the prefix before it and runs the rest.
 #[test]
 fn kill_and_resume_under_chaos_is_bitwise_identical() {
     let _g = obs_lock();
@@ -172,132 +171,52 @@ fn kill_and_resume_under_chaos_is_bitwise_identical() {
     let cfg = tiny_study();
     let seed = 77;
     let cutoff = chaos_client(&plan, 123).world().config.cutoff_day;
+    let resume = |dir: &std::path::Path, kill: Option<u32>| {
+        run_resumable_study(chaos_client(&plan, 123), cutoff, &cfg, seed, dir, kill)
+    };
 
     let dir_full = temp_dir("full");
-    let full = run_resumable_study(
-        chaos_client(&plan, 123),
-        cutoff,
-        &cfg,
-        seed,
-        &dir_full,
-        None,
-    )
-    .expect("uninterrupted run")
-    .expect("ran to completion");
+    let full = resume(&dir_full, None)
+        .expect("uninterrupted run")
+        .expect("ran to completion");
 
     let dir_killed = temp_dir("killed");
     for &k in &plan.kill_windows {
-        let run = run_resumable_study(
-            chaos_client(&plan, 123),
-            cutoff,
-            &cfg,
-            seed,
-            &dir_killed,
-            Some(k),
-        )
-        .expect("killed run");
+        let run = resume(&dir_killed, Some(k)).expect("killed run");
         assert!(run.is_none(), "kill point {k} not taken");
     }
-    let resumed = run_resumable_study(
-        chaos_client(&plan, 123),
-        cutoff,
-        &cfg,
-        seed,
-        &dir_killed,
-        None,
-    )
-    .expect("resumed run")
-    .expect("ran to completion");
+    // The killed study's log, kept before the resume appends to it. It
+    // fits one segment, so a flip anywhere in it reads as a torn tail.
+    const SEGMENT: &str = "wal-00000000.twl";
+    let killed_log = std::fs::read(dir_killed.join(SEGMENT)).expect("the killed study's log");
+    assert!(!killed_log.is_empty(), "the killed study logged nothing");
+    assert!(!dir_killed.join("wal-00000001.twl").exists());
+    let resumed = resume(&dir_killed, None)
+        .expect("resumed run")
+        .expect("ran to completion");
 
     assert_eq!(
         resumed, full,
         "resumed study diverged from the uninterrupted run"
     );
 
-    // A damaged checkpoint is refused with a typed error, never a panic
-    // and never a study: (a) the real checkpoint with one payload byte
-    // flipped, which only the checksum can catch; (b) garbage behind
-    // the TSC1 magic, which the header refuses.
-    let ckpt = dir_killed.join("study.ckpt");
-    let mut bytes = std::fs::read(&ckpt).expect("checkpoint written");
-    bytes[100] ^= 0x40;
-    std::fs::write(&ckpt, &bytes).expect("write flipped checkpoint");
-    let dir_garbage = temp_dir("garbage");
-    std::fs::create_dir_all(&dir_garbage).expect("create garbage dir");
-    std::fs::write(
-        dir_garbage.join("study.ckpt"),
-        b"TSC1 this is not a valid checkpoint payload",
-    )
-    .expect("write garbage checkpoint");
-    for (dir, case) in [(&dir_killed, "payload-flipped"), (&dir_garbage, "garbage")] {
-        let run = run_resumable_study(chaos_client(&plan, 123), cutoff, &cfg, seed, dir, None);
-        assert!(run.is_err(), "a {case} checkpoint was accepted: {run:?}");
-    }
-    for d in [dir_full, dir_killed, dir_garbage] {
-        std::fs::remove_dir_all(d).ok();
-    }
-}
-
-/// Snapshot-corruption drill: for every chaos seed's corruption
-/// offsets, a single flipped byte — and any truncation — makes the
-/// checkpoint loader return `Err`, never a panic or a silently wrong
-/// study state.
-#[test]
-fn corruption_drill_rejects_every_damaged_snapshot() {
-    let m = |r, c, v: f32| Matrix::from_vec(r, c, vec![v; r * c]).expect("test matrix");
-    let ckpt = StudyCheckpoint {
-        seed: 9,
-        fingerprint: 0xfeed,
-        next_month: 1,
-        months: vec![MonthResult {
-            month: 0,
-            n_events: 4,
-            stale_acc: 0.5,
-            stale_bacc: 0.5,
-            fresh_acc: 0.75,
-            fresh_bacc: 0.75,
-        }],
-        confusion: Some(ConfusionMatrix::from_counts(vec![vec![1, 0], vec![1, 2]])),
-        window_ingest: IngestStats {
-            first_order: 7,
-            missed_transient: 2,
-            ..Default::default()
-        },
-        base_pairs: vec![(0, 0), (1, 1)],
-        fresh_visible: vec![(0, 0), (1, 1), (2, 0)],
-        sage_cfg: SageConfig::new(3, 4, 1, 2),
-        stale: vec![(m(3, 2, 0.1), m(3, 2, 0.2), m(1, 2, 0.0))],
-        fresh: vec![(m(3, 2, 0.3), m(3, 2, 0.4), m(1, 2, 0.5))],
-        encoders: vec![vec![
-            (m(3, 4, 0.1), m(1, 4, 0.0)),
-            (m(4, 2, 0.1), m(1, 2, 0.0)),
-            (m(2, 4, 0.1), m(1, 4, 0.0)),
-            (m(4, 3, 0.1), m(1, 3, 0.0)),
-        ]],
-    };
-    let bytes = ckpt.to_bytes();
-    // The undamaged snapshot must load — otherwise the drill below
-    // would pass vacuously.
-    assert_eq!(
-        StudyCheckpoint::from_bytes(&bytes).expect("pristine snapshot loads"),
-        ckpt
-    );
-
-    for seed in [1u64, 4, 6] {
-        for &off in &ChaosPlan::from_seed(seed).corrupt_offsets {
-            let mut damaged = bytes.clone();
-            let i = (off % damaged.len() as u64) as usize;
-            damaged[i] ^= 0x20;
-            assert!(
-                StudyCheckpoint::from_bytes(&damaged).is_err(),
-                "flipped byte {i} (seed {seed}) loaded successfully"
-            );
+    for &off in &plan.corrupt_offsets {
+        let dir = temp_dir("flipped");
+        std::fs::create_dir_all(&dir).expect("create flipped dir");
+        let mut bytes = killed_log.clone();
+        bytes[(off % killed_log.len() as u64) as usize] ^= 0x20;
+        std::fs::write(dir.join(SEGMENT), &bytes).expect("write flipped log");
+        match resume(&dir, None) {
+            Err(_) => {}
+            Ok(out) => assert_eq!(
+                out.as_ref(),
+                Some(&full),
+                "a log flipped at offset {off:#x} resumed into another study"
+            ),
         }
+        std::fs::remove_dir_all(dir).ok();
     }
-    for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-        assert!(
-            StudyCheckpoint::from_bytes(&bytes[..cut]).is_err(),
-            "truncation to {cut} bytes loaded successfully"
-        );
+    for d in [dir_full, dir_killed] {
+        std::fs::remove_dir_all(d).ok();
     }
 }

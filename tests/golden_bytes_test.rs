@@ -1,8 +1,7 @@
-//! Golden byte fixtures for the four on-disk formats.
+//! Golden byte fixtures for the three on-disk formats.
 //!
 //! Each test encodes one fixed, RNG-free sample — a TKG2 graph
-//! snapshot, a TSC1 study checkpoint, a TWL1 log segment and a TSB1
-//! serve bundle — and pins the complete encoding as committed
+//! snapshot, a TWL1 log segment and a TSB1 serve bundle — and pins the complete encoding as committed
 //! constants: byte length, FNV-1a of the whole file, and the first and
 //! last 32 bytes in hex. Any change to a layout, a field order, the
 //! frame header or the checksum trips these tests, so a refactor of the
@@ -11,11 +10,8 @@
 //! No sample draws from an RNG: the constants must hold for every
 //! `rand` implementation the workspace is built against.
 
-use trail::checkpoint::StudyCheckpoint;
 use trail::collector::AptRegistry;
-use trail::enrich::IngestStats;
 use trail::freeze::FrozenModel;
-use trail::longitudinal::MonthResult;
 use trail::stream::{Wal, WalConfig};
 use trail::Tkg;
 use trail_gnn::SageConfig;
@@ -24,7 +20,6 @@ use trail_graph::persist::{self, fnv1a_bytes};
 use trail_graph::{EdgeKind, GraphStore, NodeKind};
 use trail_ioc::report::{RawIndicator, RawReport};
 use trail_linalg::Matrix;
-use trail_ml::metrics::ConfusionMatrix;
 use trail_serve::ServeBundle;
 
 /// `(length, fnv1a(bytes), first 32 bytes, last 32 bytes)`.
@@ -73,12 +68,6 @@ const TKG2: Golden = (
     "544b4732020000003300000000000000a4b4f4e1357612610200000000000000",
     "000107000000312e322e332e3400010100000000000000000000000100000000",
 );
-const TSC1: Golden = (
-    1000,
-    0x3d67_b0f0_f918_a786,
-    "5453433101000000d0030000000000000924e69ffbc1994bedfe000000000000",
-    "01000000000000000400000000000000000000000000803e0000003f0000403f",
-);
 const TWL1: Golden = (
     336,
     0xd002_f529_9daa_6320,
@@ -101,58 +90,6 @@ fn tkg2_snapshot_bytes_are_pinned() {
     g.set_label(e, LabelId(5)).unwrap();
     g.mark_first_order(ip);
     assert_golden("TKG2", &persist::to_bytes(&g), TKG2);
-}
-
-#[test]
-fn tsc1_checkpoint_bytes_are_pinned() {
-    let ck = StudyCheckpoint {
-        seed: 0xfeed,
-        fingerprint: 0xabc123,
-        next_month: 2,
-        months: vec![MonthResult {
-            month: 0,
-            n_events: 7,
-            stale_acc: 0.5,
-            stale_bacc: 0.25,
-            fresh_acc: 0.75,
-            fresh_bacc: 0.3125,
-        }],
-        confusion: Some(ConfusionMatrix::from_predictions(&[0, 1, 1], &[0, 1, 0], 2)),
-        window_ingest: IngestStats {
-            first_order: 9,
-            secondary: 4,
-            edges: 11,
-            linked: 2,
-            missed_permanent: 1,
-            missed_transient: 3,
-            retried: 5,
-            breaker_rejected: 2,
-            dropped_unparseable: 0,
-            backoff_ms: 350,
-        },
-        base_pairs: vec![(0, 1), (3, 0)],
-        fresh_visible: vec![(0, 1), (3, 0), (9, 2)],
-        sage_cfg: SageConfig {
-            input_dim: 4,
-            hidden: 3,
-            layers: 2,
-            n_classes: 2,
-            l2_normalize: true,
-        },
-        stale: vec![
-            (ramp(4, 3, 0.5), ramp(4, 3, -0.25), ramp(1, 3, 1.0)),
-            (ramp(3, 2, 0.125), ramp(3, 2, 2.0), ramp(1, 2, -1.0)),
-        ],
-        fresh: vec![
-            (ramp(4, 3, 0.75), ramp(4, 3, -0.5), ramp(1, 3, 0.0)),
-            (ramp(3, 2, 1.5), ramp(3, 2, -2.0), ramp(1, 2, 3.0)),
-        ],
-        encoders: vec![vec![
-            (ramp(4, 2, 1.0), ramp(1, 2, 0.5)),
-            (ramp(2, 4, -1.0), ramp(1, 4, 0.25)),
-        ]],
-    };
-    assert_golden("TSC1", &ck.to_bytes(), TSC1);
 }
 
 fn report(i: u32) -> RawReport {
