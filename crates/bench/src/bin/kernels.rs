@@ -36,6 +36,8 @@
 //! ≥ 2× over the old f32 kernel) and exits non-zero on regression;
 //! `scripts/verify.sh --perf` runs `kernels --check`.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 

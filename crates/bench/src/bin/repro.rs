@@ -42,6 +42,8 @@
 //! (kill/resume under a seeded `ChaosPlan`, damaged logs, a dead feed)
 //! are tier-1 tests in `tests/chaos_test.rs`.
 
+#![forbid(unsafe_code)]
+
 use trail_bench::RunOptions;
 
 /// Every allocation in the run bumps a relaxed counter (one atomic

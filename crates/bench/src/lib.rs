@@ -4,6 +4,8 @@
 //! and returns/prints the measured numbers next to the paper's values.
 //! The `repro` binary dispatches to these.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;

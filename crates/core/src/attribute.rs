@@ -75,12 +75,8 @@ impl Default for IocModelSettings {
                 max_depth: 5,
                 colsample: 0.15,
                 subsample: 0.8,
-                ..Default::default()
             },
-            forest: ForestConfig {
-                n_trees: 25,
-                ..Default::default()
-            },
+            forest: ForestConfig { n_trees: 25 },
             mlp: MlpConfig {
                 hidden: vec![128, 64],
                 dropout: 0.5,
@@ -105,10 +101,7 @@ impl IocModelSettings {
                 colsample: 0.2,
                 ..Default::default()
             },
-            forest: ForestConfig {
-                n_trees: 8,
-                ..Default::default()
-            },
+            forest: ForestConfig { n_trees: 8 },
             mlp: MlpConfig {
                 hidden: vec![32],
                 dropout: 0.1,

@@ -403,7 +403,7 @@ impl<'a> Enricher<'a> {
     fn query(&self, want_features: bool, tkg: &Tkg, ioc: &Ioc) -> QueryRecord {
         let (cost, analysis) = self.run_query(|attempt| {
             self.client
-                .try_analyze(ioc.kind(), ioc.text(), self.asof_day, attempt)
+                .try_analyze(ioc.key_ref(), self.asof_day, attempt)
         });
         let payload = analysis.map(|a| {
             let mut p = Payload::default();

@@ -168,18 +168,6 @@ pub fn check_layers(
     Ok(())
 }
 
-/// Freeze a live [`StreamRuntime`](crate::stream::StreamRuntime)'s
-/// fine-tuned state for serving — the producer half of bundle
-/// hot-swap. The stream keeps running afterwards; the serving side
-/// packages the result with `ServeBundle::refreeze` and installs it
-/// into a running `ServeRuntime` with zero downtime.
-///
-/// `&mut` only because the runtime folds pending graph growth into
-/// its caches first; no RNG is drawn and no tick fires.
-pub fn refreeze(rt: &mut crate::stream::StreamRuntime) -> FrozenModel {
-    rt.freeze_fresh()
-}
-
 /// Train the full stack (autoencoders, then GraphSAGE on **all**
 /// events) and freeze it for serving.
 pub fn train_frozen<R: Rng + ?Sized>(

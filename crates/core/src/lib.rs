@@ -34,6 +34,8 @@
 //! * [`stream`] — event-at-a-time ingestion, bitwise-equal to batch.
 //! * [`system`] — the end-to-end orchestrator.
 
+#![forbid(unsafe_code)]
+
 pub mod attribute;
 pub mod collector;
 pub mod embed;
@@ -48,32 +50,3 @@ pub mod tkg;
 
 pub use system::TrailSystem;
 pub use tkg::Tkg;
-
-/// Errors surfaced by the TRAIL pipeline.
-#[derive(Debug)]
-pub enum TrailError {
-    /// Graph-layer failure.
-    Graph(trail_graph::GraphError),
-    /// A pipeline-level invariant broke.
-    Pipeline(String),
-}
-
-impl From<trail_graph::GraphError> for TrailError {
-    fn from(e: trail_graph::GraphError) -> Self {
-        TrailError::Graph(e)
-    }
-}
-
-impl std::fmt::Display for TrailError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrailError::Graph(e) => write!(f, "graph error: {e}"),
-            TrailError::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for TrailError {}
-
-/// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, TrailError>;

@@ -30,28 +30,6 @@ impl SparseVec {
         }
     }
 
-    /// Materialise as a dense vector.
-    pub fn to_dense(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.dims as usize];
-        for &(i, v) in &self.entries {
-            out[i as usize] = v;
-        }
-        out
-    }
-
-    /// Content fingerprint over the `(index, value-bits)` entries and
-    /// the logical width. Equal vectors always fingerprint equally, so
-    /// a per-row sweep can key encoded rows on it (the code cache's
-    /// test oracle does).
-    pub fn fingerprint(&self) -> u64 {
-        self.as_ref().fingerprint()
-    }
-
-    /// Value at index `i`.
-    pub fn get(&self, i: u32) -> f32 {
-        self.as_ref().get(i)
-    }
-
     /// Borrow as a [`SparseRef`] view.
     #[inline]
     pub fn as_ref(&self) -> SparseRef<'_> {
@@ -92,7 +70,10 @@ impl SparseRef<'_> {
             .unwrap_or(0.0)
     }
 
-    /// See [`SparseVec::fingerprint`]; byte-identical for equal content.
+    /// Content fingerprint over the `(index, value-bits)` entries and
+    /// the logical width. Equal vectors always fingerprint equally,
+    /// whatever their storage, so a per-row sweep can key encoded rows
+    /// on it (the code cache's test oracle does).
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write(&self.dims.to_le_bytes());
@@ -245,10 +226,11 @@ mod tests {
     fn roundtrip() {
         let dense = vec![0.0, 1.5, 0.0, -2.0, 0.0];
         let sv = SparseVec::from_dense(&dense);
-        assert_eq!(sv.as_ref().entries.len(), 2);
-        assert_eq!(sv.to_dense(), dense);
-        assert_eq!(sv.get(3), -2.0);
-        assert_eq!(sv.get(0), 0.0);
+        let r = sv.as_ref();
+        assert_eq!(r.entries.len(), 2);
+        assert_eq!(r.to_dense(), dense);
+        assert_eq!(r.get(3), -2.0);
+        assert_eq!(r.get(0), 0.0);
     }
 
     #[test]
@@ -264,18 +246,7 @@ mod tests {
     fn empty_vector_is_fine() {
         let sv = SparseVec::from_dense(&[0.0; 4]);
         assert!(sv.as_ref().entries.is_empty());
-        assert_eq!(sv.to_dense(), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn ref_view_matches_owned_vector() {
-        let sv = SparseVec::from_dense(&[0.0, 1.5, 0.0, -2.0]);
-        let r = sv.as_ref();
-        assert_eq!(r.to_dense(), sv.to_dense());
-        assert_eq!(r.get(3), -2.0);
-        assert_eq!(r.get(0), 0.0);
-        // Byte-identical fingerprints, whatever the storage.
-        assert_eq!(r.fingerprint(), sv.fingerprint());
+        assert_eq!(sv.as_ref().to_dense(), vec![0.0; 4]);
     }
 
     #[test]
@@ -291,7 +262,10 @@ mod tests {
         assert!(!arena.contains(3));
         assert!(!arena.contains(999));
         assert_eq!(arena.get(5).unwrap().get(0), 1.0);
-        assert_eq!(arena.get(5).unwrap().fingerprint(), a.fingerprint());
+        assert_eq!(
+            arena.get(5).unwrap().fingerprint(),
+            a.as_ref().fingerprint()
+        );
         assert!(arena.get(7).is_none());
         let order: Vec<usize> = arena.iter().map(|(n, _)| n).collect();
         assert_eq!(
@@ -318,6 +292,6 @@ mod tests {
         let r = arena.get(0).unwrap();
         assert!(r.entries.is_empty());
         assert_eq!(r.dims, 3);
-        assert_eq!(r.fingerprint(), empty.fingerprint());
+        assert_eq!(r.fingerprint(), empty.as_ref().fingerprint());
     }
 }

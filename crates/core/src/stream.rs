@@ -580,8 +580,9 @@ impl StreamRuntime {
     }
 
     /// Freeze the live fine-tuned state into the plain-data artefact
-    /// `trail-serve` packages into a bundle (the re-freeze half of
-    /// bundle hot-swap; see [`crate::freeze::refreeze`]).
+    /// `trail-serve` packages into a bundle (the producer half of
+    /// bundle hot-swap: `ServeBundle::refreeze` calls it and packages
+    /// the result; the stream keeps running).
     ///
     /// Catches the incremental state up first (`Self::sync`: right
     /// after a tick that is a no-op, otherwise it merges and encodes

@@ -15,6 +15,8 @@
 //!   applied inside the model's own forward, identifying the most
 //!   influential IOCs (Fig. 10).
 
+#![forbid(unsafe_code)]
+
 pub mod explain;
 pub mod labelprop;
 pub mod sage;

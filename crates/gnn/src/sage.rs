@@ -60,11 +60,6 @@ impl SageConfig {
             l2_normalize: true,
         }
     }
-
-    /// Configuration with the paper's hidden width.
-    pub fn paper(input_dim: usize, layers: usize, n_classes: usize) -> Self {
-        Self::new(input_dim, 512, layers, n_classes)
-    }
 }
 
 /// Resize `m` to `rows × cols`, touching it only when the shape

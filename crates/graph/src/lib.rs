@@ -12,6 +12,8 @@
 //! Node and edge kinds mirror the schema of the paper's Figure 2 and
 //! Table I exactly; see [`schema`].
 
+#![forbid(unsafe_code)]
+
 pub mod algo;
 pub mod csr;
 pub mod frame;

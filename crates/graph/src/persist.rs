@@ -13,9 +13,10 @@
 //! silently wrong graph. The envelope catches truncation, corruption
 //! and header damage, and the payload decode rejects a checksum-valid
 //! but impossible graph — every failure surfaces as a typed
-//! [`PersistError`], never a panic. [`save`] writes through a temp file
-//! in the target directory and atomically renames it into place, so a
-//! crash mid-write leaves the previous snapshot intact.
+//! [`PersistError`], never a panic. [`write_atomic`] writes through a
+//! temp file in the target directory and atomically renames it into
+//! place, so a crash mid-write leaves the previous file intact. The
+//! serving bundle's `ServeBundle::save` writes through it.
 
 use std::path::Path;
 
@@ -203,13 +204,6 @@ fn decode_payload(payload: &[u8]) -> std::result::Result<GraphStore, PersistErro
     Ok(g)
 }
 
-/// Write a snapshot to `path` crash-safely: the bytes go to a temp
-/// file in the same directory, are fsynced, and are renamed into place
-/// — readers see either the old complete snapshot or the new one.
-pub fn save(g: &GraphStore, path: &Path) -> Result<()> {
-    Ok(write_atomic(path, &to_bytes(g))?)
-}
-
 /// Atomically replace `path` with `data` (unique temp file + fsynced
 /// rename).
 ///
@@ -264,12 +258,6 @@ pub fn write_atomic(path: &Path, data: &[u8]) -> std::result::Result<(), Persist
         std::fs::remove_file(&tmp).ok();
     }
     result.map_err(PersistError::Io)
-}
-
-/// Load a snapshot from a file.
-pub fn load(path: &Path) -> Result<GraphStore> {
-    let data = std::fs::read(path).map_err(|e| GraphError::Persist(PersistError::Io(e)))?;
-    from_bytes(&data)
 }
 
 #[cfg(test)]
@@ -412,12 +400,12 @@ mod tests {
         let dir = std::env::temp_dir().join("trail_graph_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.tkg");
-        save(&sample(), &path).unwrap();
-        let g2 = load(&path).unwrap();
+        write_atomic(&path, &to_bytes(&sample())).unwrap();
+        let g2 = from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(g2.node_count(), 2);
-        // Saving over an existing snapshot leaves no temp file behind,
+        // Writing over an existing snapshot leaves no temp file behind,
         // whatever unique suffix it used.
-        save(&sample(), &path).unwrap();
+        write_atomic(&path, &to_bytes(&sample())).unwrap();
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())

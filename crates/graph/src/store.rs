@@ -59,11 +59,6 @@ impl NodeRecord {
     }
 
     #[inline]
-    fn clear_label(&mut self) {
-        self.meta &= !(META_LABEL_MASK | META_HAS_LABEL);
-    }
-
-    #[inline]
     fn mark_first_order(&mut self) {
         self.meta |= META_FIRST_ORDER;
     }
@@ -252,13 +247,6 @@ impl GraphStore {
             .ok_or(GraphError::UnknownNode(id))?;
         rec.set_label(label);
         Ok(())
-    }
-
-    /// Clear a node's label (used when masking folds).
-    pub fn clear_label(&mut self, id: NodeId) {
-        if let Some(rec) = self.nodes.get_mut(id.index()) {
-            rec.clear_label();
-        }
     }
 
     /// Mark a node as first-order (directly reported in an event).
@@ -515,14 +503,10 @@ mod tests {
         g.mark_first_order(ip);
         assert_eq!(g.node(e).label(), Some(LabelId(3)));
         assert!(g.node(ip).first_order());
-        g.clear_label(e);
-        assert_eq!(g.node(e).label(), None);
         // first_order survives label churn (independent meta bits).
         g.mark_first_order(e);
         g.set_label(e, LabelId(0xFFFF)).unwrap();
         assert_eq!(g.node(e).label(), Some(LabelId(0xFFFF)));
-        assert!(g.node(e).first_order());
-        g.clear_label(e);
         assert!(g.node(e).first_order());
 
         // The packed word over the whole label domain, including the
@@ -537,9 +521,6 @@ mod tests {
                     rec.mark_first_order();
                 }
                 assert_eq!(rec.label(), label);
-                assert_eq!(rec.first_order(), first);
-                rec.clear_label();
-                assert_eq!(rec.label(), None);
                 assert_eq!(rec.first_order(), first);
             }
         }

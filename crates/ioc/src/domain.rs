@@ -78,15 +78,9 @@ impl DomainIoc {
         self.text.rsplit('.').next().expect("validated")
     }
 
-    /// The registrable (second-level + TLD) suffix, e.g.
-    /// `c.b.a.example` → `a.example`. Approximation without a public
-    /// suffix list, which is what the paper's lexical pipeline uses.
-    pub fn registrable(&self) -> String {
-        let labels: Vec<&str> = self.text.split('.').collect();
-        labels[labels.len().saturating_sub(2)..].join(".")
-    }
-
-    /// Number of subdomain labels in front of the registrable part.
+    /// Number of subdomain labels in front of the registrable part
+    /// (the last two labels, approximated without a public suffix
+    /// list, as the paper's lexical pipeline does).
     pub fn subdomain_depth(&self) -> usize {
         self.text.split('.').count().saturating_sub(2)
     }
@@ -139,12 +133,10 @@ mod tests {
     }
 
     #[test]
-    fn registrable_and_depth() {
+    fn subdomain_depth_counts_labels_before_the_last_two() {
         let d = DomainIoc::parse("v5y7s3.l2twn2.club").unwrap();
-        assert_eq!(d.registrable(), "l2twn2.club");
         assert_eq!(d.subdomain_depth(), 1);
         let flat = DomainIoc::parse("example.com").unwrap();
-        assert_eq!(flat.registrable(), "example.com");
         assert_eq!(flat.subdomain_depth(), 0);
     }
 

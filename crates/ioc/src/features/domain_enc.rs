@@ -34,9 +34,6 @@ impl Default for DomainEncoder {
 }
 
 impl DomainEncoder {
-    /// Total output width (= [`DOMAIN_DIMS`]).
-    pub const DIMS: usize = DOMAIN_DIMS;
-
     /// Encode a domain and its enrichment analysis into a feature vector.
     pub fn encode(&self, d: &DomainIoc, a: &DomainAnalysis) -> Vec<f32> {
         let mut out = vec![0.0f32; DOMAIN_DIMS];

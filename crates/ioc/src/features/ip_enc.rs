@@ -42,9 +42,6 @@ impl Default for IpEncoder {
 }
 
 impl IpEncoder {
-    /// Total output width (= [`IP_DIMS`]).
-    pub const DIMS: usize = IP_DIMS;
-
     /// Encode an IP and its enrichment analysis into a feature vector.
     /// The `_ip` itself contributes no slots — the paper notes IPs have
     /// "a dearth of features on their own"; everything comes from

@@ -54,9 +54,6 @@ impl Default for UrlEncoder {
 }
 
 impl UrlEncoder {
-    /// Total output width (= [`URL_DIMS`]).
-    pub const DIMS: usize = URL_DIMS;
-
     /// Encode a URL and its enrichment analysis into a feature vector.
     pub fn encode(&self, url: &UrlIoc, analysis: &UrlAnalysis) -> Vec<f32> {
         let mut out = vec![0.0f32; URL_DIMS];

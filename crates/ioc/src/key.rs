@@ -97,11 +97,6 @@ impl IocKey {
         &self.text
     }
 
-    /// Consume the key, yielding the canonical text.
-    pub fn into_text(self) -> String {
-        self.text
-    }
-
     /// Borrow this key as the zero-copy [`IocKeyRef`] form.
     pub fn as_ref(&self) -> IocKeyRef<'_> {
         IocKeyRef {

@@ -7,13 +7,15 @@
 //! * [`ip`], [`domain`], [`url`] — from-scratch parsers and the lexical
 //!   features (entropy, digit ratios, label structure) of Section IV-B.
 //! * [`types`] — the [`types::Ioc`] sum type with auto-detection.
-//! * [`report`] — the raw JSON incident-report format the pipeline
-//!   ingests (the OTX-pulse analogue).
+//! * [`report`] — the raw incident report the pipeline ingests (an
+//!   in-memory struct shaped like an OTX pulse).
 //! * [`analysis`] — the data model of enrichment results (what passive
 //!   DNS / geo-IP / cURL probing returns).
 //! * [`features`] — fixed-layout one-hot encoders producing exactly the
 //!   paper's 1,517-dim URL / 507-dim IP / 115-dim domain vectors, with
 //!   human-readable names for every slot (used by the Fig. 9 SHAP view).
+
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod defang;
@@ -21,7 +23,6 @@ pub mod domain;
 pub mod features;
 pub mod hash;
 pub mod ip;
-pub mod json;
 pub mod key;
 pub mod report;
 pub mod types;

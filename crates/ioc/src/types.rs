@@ -96,15 +96,6 @@ impl Ioc {
     pub fn key_ref(&self) -> crate::key::IocKeyRef<'_> {
         crate::key::IocKeyRef::new(self.kind(), self.text())
     }
-
-    /// Consume the IOC, yielding its canonical text.
-    pub fn into_text(self) -> String {
-        match self {
-            Ioc::Ip(x) => x.text,
-            Ioc::Url(x) => x.text,
-            Ioc::Domain(x) => x.text,
-        }
-    }
 }
 
 impl std::fmt::Display for Ioc {

@@ -34,12 +34,6 @@ impl Vocab {
         }
     }
 
-    /// Number of slots.
-    #[inline]
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
     /// The slot for a value: curated index if known, otherwise an FNV-1a
     /// hash into the non-curated tail (or the whole block when every
     /// slot is curated).

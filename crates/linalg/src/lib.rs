@@ -10,7 +10,7 @@
 //! * [`pool`] — the workspace-wide persistent worker pool behind every
 //!   parallel kernel (matmul, CSR aggregation, tree ensembles), with
 //!   the `TRAIL_THREADS` thread-count policy.
-//! * [`vector`] — slice-level primitives (dot, axpy, softmax, argmax).
+//! * [`vector`] — slice-level primitives (dot, softmax, argmax).
 //! * [`stats`] — column statistics used by the standard scaler.
 //! * [`init`] — Xavier/He random initialisers for network weights.
 //!

@@ -209,12 +209,6 @@ impl Matrix {
         }
     }
 
-    /// `self += k * other` (same shape). The AXPY building block of the
-    /// optimisers.
-    pub fn axpy(&mut self, k: f32, other: &Self) -> Result<()> {
-        self.zip_inplace(other, |a, b| a + k * b)
-    }
-
     /// Add a row vector to every row (bias broadcast).
     pub fn add_row_broadcast(&mut self, bias: &[f32]) -> Result<()> {
         if bias.len() != self.cols {
@@ -642,7 +636,5 @@ mod tests {
         assert_eq!(a.as_slice(), &[2.0, 3.0, 4.0, 5.0]);
         a.sub_assign(&b).unwrap();
         assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-        a.axpy(2.0, &b).unwrap();
-        assert_eq!(a.as_slice(), &[3.0, 4.0, 5.0, 6.0]);
     }
 }

@@ -11,17 +11,17 @@
 //!
 //! Design notes:
 //!
-//! * **Work claiming.** Each `parallel_for` call publishes one task —
-//!   a type-erased closure plus an atomic next-chunk cursor. Helpers
-//!   and the calling thread race to claim `[start, end)` chunks, so
-//!   load balances dynamically across irregular rows (e.g. CSR rows
-//!   with wildly different degrees).
+//! * **Work claiming.** Each `parallel_for_limit` call publishes one
+//!   task — a type-erased closure plus an atomic next-chunk cursor.
+//!   Helpers and the calling thread race to claim `[start, end)`
+//!   chunks, so load balances dynamically across irregular rows (e.g.
+//!   CSR rows with wildly different degrees).
 //! * **Caller participation.** The submitting thread always works the
 //!   task itself. Even with zero idle workers every chunk is drained,
-//!   which also makes nested `parallel_for` calls (a pooled `matmul`
-//!   inside a pooled tree fit) deadlock-free: a worker that submits a
-//!   sub-task drains it on its own if no peer is idle — `Task::run`
-//!   never blocks.
+//!   which also makes nested `parallel_for_limit` calls (a pooled
+//!   `matmul` inside a pooled tree fit) deadlock-free: a worker that
+//!   submits a sub-task drains it on its own if no peer is idle —
+//!   `Task::run` never blocks.
 //! * **Completion.** The task counts outstanding chunks; the thread
 //!   finishing the last chunk opens a latch the caller blocks on.
 //!   When the caller returns, no thread holds a reference into its
@@ -208,17 +208,11 @@ fn global_pool() -> &'static ThreadPool {
     })
 }
 
-/// Run `f` over `0..len` split into chunks across the pool, using the
-/// [`num_threads`] policy. Each index is visited exactly once; chunk
-/// boundaries are an implementation detail callers must not rely on
-/// beyond disjointness.
-pub fn parallel_for(len: usize, min_chunk: usize, f: impl Fn(Range<usize>) + Sync) {
-    parallel_for_limit(num_threads(), len, min_chunk, f);
-}
-
-/// [`parallel_for`] capped at `max_threads` concurrent participants
-/// (1 ⇒ run inline on the caller). Used by tests and benches to pin a
-/// region to a known width irrespective of `TRAIL_THREADS`.
+/// Run `f` over `0..len` split into chunks across the pool, with at
+/// most `max_threads` concurrent participants (1 ⇒ run inline on the
+/// caller). Each index is visited exactly once; chunk boundaries are an
+/// implementation detail callers must not rely on beyond disjointness.
+/// The row-band and map helpers below build on it.
 pub fn parallel_for_limit(
     max_threads: usize,
     len: usize,

@@ -15,31 +15,10 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
-/// `y += k * x` for equal-length slices. Elementwise (no reduction),
-/// so LLVM autovectorizes it as-is without changing any result bit.
-#[inline]
-pub fn axpy(k: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv += k * xv;
-    }
-}
-
 /// Euclidean norm.
 #[inline]
 pub fn norm2(a: &[f32]) -> f32 {
     a.iter().map(|x| x * x).sum::<f32>().sqrt()
-}
-
-/// Normalise to unit L2 norm in place; zero vectors are left untouched.
-/// This is the stabilisation step of GraphSAGE (paper Eq. 4).
-pub fn l2_normalize(a: &mut [f32]) {
-    let n = norm2(a);
-    if n > 1e-12 {
-        for x in a.iter_mut() {
-            *x /= n;
-        }
-    }
 }
 
 /// Numerically stable softmax in place.
@@ -83,14 +62,6 @@ pub fn mean(a: &[f32]) -> f32 {
     }
 }
 
-/// Shannon entropy (bits) of a probability distribution. Ignores zeros.
-pub fn entropy(p: &[f32]) -> f32 {
-    -p.iter()
-        .filter(|&&x| x > 0.0)
-        .map(|&x| x * x.log2())
-        .sum::<f32>()
-}
-
 /// Squared Euclidean distance between two equal-length slices.
 #[inline]
 pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
@@ -103,12 +74,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_axpy() {
+    fn dot_of_a_vector_with_itself() {
         let a = [1.0, 2.0, 3.0];
-        let mut y = [1.0, 1.0, 1.0];
         assert_eq!(dot(&a, &a), 14.0);
-        axpy(2.0, &a, &mut y);
-        assert_eq!(y, [3.0, 5.0, 7.0]);
     }
 
     #[test]
@@ -133,23 +101,6 @@ mod tests {
     fn argmax_prefers_first_tie() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0]), Some(1));
         assert_eq!(argmax(&[]), None);
-    }
-
-    #[test]
-    fn l2_normalize_unit_norm() {
-        let mut v = [3.0, 4.0];
-        l2_normalize(&mut v);
-        assert!((norm2(&v) - 1.0).abs() < 1e-6);
-        let mut z = [0.0, 0.0];
-        l2_normalize(&mut z);
-        assert_eq!(z, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn entropy_of_uniform_is_log2_n() {
-        let p = [0.25; 4];
-        assert!((entropy(&p) - 2.0).abs() < 1e-6);
-        assert_eq!(entropy(&[1.0]), 0.0);
     }
 
     #[test]

@@ -11,29 +11,29 @@ use trail_linalg::Matrix;
 use crate::tree::{DecisionTree, FeatureSampling, TreeConfig};
 use crate::Classifier;
 
-/// Random Forest hyper-parameters.
+/// Per-tree growth parameters: deep trees, `sqrt(n_features)`
+/// candidates per split.
+const TREE: TreeConfig = TreeConfig {
+    max_depth: 18,
+    min_samples_split: 4,
+    min_samples_leaf: 2,
+    feature_sampling: FeatureSampling::Sqrt,
+};
+/// Bootstrap sample size as a fraction of the training set.
+const BOOTSTRAP_FRACTION: f32 = 1.0;
+
+/// Random Forest hyper-parameters. The tree shape and the bootstrap
+/// size are fixed (`TREE`, a full-size bootstrap): no experiment
+/// varies them.
 #[derive(Debug, Clone, Copy)]
 pub struct ForestConfig {
     /// Number of trees.
     pub n_trees: usize,
-    /// Per-tree growth parameters.
-    pub tree: TreeConfig,
-    /// Bootstrap sample size as a fraction of the training set.
-    pub bootstrap_fraction: f32,
 }
 
 impl Default for ForestConfig {
     fn default() -> Self {
-        Self {
-            n_trees: 100,
-            tree: TreeConfig {
-                max_depth: 18,
-                min_samples_split: 4,
-                min_samples_leaf: 2,
-                feature_sampling: FeatureSampling::Sqrt,
-            },
-            bootstrap_fraction: 1.0,
-        }
+        Self { n_trees: 100 }
     }
 }
 
@@ -56,36 +56,24 @@ impl RandomForest {
         let _span = trail_obs::span("ml.forest_fit");
         assert!(x.rows() > 0, "empty training set");
         let n = x.rows();
-        let boot_n = ((n as f32) * cfg.bootstrap_fraction).round().max(1.0) as usize;
+        let boot_n = ((n as f32) * BOOTSTRAP_FRACTION).round().max(1.0) as usize;
         let seeds: Vec<u64> = (0..cfg.n_trees).map(|_| rng.gen()).collect();
 
         // Trees fan out across the shared worker pool; each is grown
         // from its own pre-drawn seed, so the forest is identical for
         // every thread count.
         let trees: Vec<DecisionTree> = trail_linalg::pool::parallel_map(seeds.len(), |i| {
-            fit_one(seeds[i], x, y, n_classes, boot_n, &cfg.tree)
+            fit_one(seeds[i], x, y, n_classes, boot_n)
         });
         Self { trees, n_classes }
     }
-
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
-fn fit_one(
-    seed: u64,
-    x: &Matrix,
-    y: &[u16],
-    n_classes: usize,
-    boot_n: usize,
-    tree_cfg: &TreeConfig,
-) -> DecisionTree {
+fn fit_one(seed: u64, x: &Matrix, y: &[u16], n_classes: usize, boot_n: usize) -> DecisionTree {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = x.rows();
     let indices: Vec<usize> = (0..boot_n).map(|_| rng.gen_range(0..n)).collect();
-    DecisionTree::fit(&mut rng, x, y, &indices, n_classes, tree_cfg)
+    DecisionTree::fit(&mut rng, x, y, &indices, n_classes, &TREE)
 }
 
 impl Classifier for RandomForest {
@@ -135,10 +123,7 @@ mod tests {
     fn separable_blobs_are_learned() {
         let (x, y) = blobs(30);
         let mut rng = StdRng::seed_from_u64(1);
-        let cfg = ForestConfig {
-            n_trees: 15,
-            ..Default::default()
-        };
+        let cfg = ForestConfig { n_trees: 15 };
         let rf = RandomForest::fit(&mut rng, &x, &y, 3, &cfg);
         let acc = crate::metrics::accuracy(&y, &rf.predict(&x));
         assert!(acc > 0.95, "train accuracy {acc}");
@@ -148,10 +133,7 @@ mod tests {
     fn probabilities_are_distributions() {
         let (x, y) = blobs(10);
         let mut rng = StdRng::seed_from_u64(2);
-        let cfg = ForestConfig {
-            n_trees: 7,
-            ..Default::default()
-        };
+        let cfg = ForestConfig { n_trees: 7 };
         let rf = RandomForest::fit(&mut rng, &x, &y, 3, &cfg);
         let proba = rf.predict_proba(&x);
         for row in proba.rows_iter() {
@@ -164,10 +146,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed_despite_threads() {
         let (x, y) = blobs(15);
-        let cfg = ForestConfig {
-            n_trees: 9,
-            ..Default::default()
-        };
+        let cfg = ForestConfig { n_trees: 9 };
         let mut r1 = StdRng::seed_from_u64(5);
         let mut r2 = StdRng::seed_from_u64(5);
         let f1 = RandomForest::fit(&mut r1, &x, &y, 3, &cfg);
@@ -179,11 +158,8 @@ mod tests {
     fn n_trees_respected() {
         let (x, y) = blobs(5);
         let mut rng = StdRng::seed_from_u64(3);
-        let cfg = ForestConfig {
-            n_trees: 3,
-            ..Default::default()
-        };
+        let cfg = ForestConfig { n_trees: 3 };
         let rf = RandomForest::fit(&mut rng, &x, &y, 3, &cfg);
-        assert_eq!(rf.n_trees(), 3);
+        assert_eq!(rf.trees.len(), 3);
     }
 }

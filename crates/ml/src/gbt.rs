@@ -20,22 +20,24 @@ use crate::Classifier;
 
 /// Maximum histogram bins per feature.
 const MAX_BINS: usize = 32;
+/// Shrinkage (XGBoost's `eta`).
+const LEARNING_RATE: f32 = 0.3;
+/// L2 regularisation on leaf weights (XGBoost's `lambda`).
+const LAMBDA: f32 = 1.0;
+/// Minimum gain to split (XGBoost's `gamma`).
+const GAMMA: f32 = 0.0;
+/// Minimum hessian sum per child (XGBoost's `min_child_weight`).
+const MIN_CHILD_WEIGHT: f32 = 1.0;
 
-/// Boosting hyper-parameters.
+/// Boosting hyper-parameters. Shrinkage, the leaf-weight L2 term, the
+/// split-gain floor and the child hessian floor are XGBoost's defaults
+/// (0.3, 1, 0, 1) and fixed: no experiment varies them.
 #[derive(Debug, Clone, Copy)]
 pub struct GbtConfig {
     /// Boosting rounds (trees per class).
     pub n_rounds: usize,
     /// Maximum tree depth.
     pub max_depth: usize,
-    /// Shrinkage (eta).
-    pub learning_rate: f32,
-    /// L2 regularisation on leaf weights (lambda).
-    pub lambda: f32,
-    /// Minimum gain to split (gamma).
-    pub gamma: f32,
-    /// Minimum hessian sum per child (min_child_weight).
-    pub min_child_weight: f32,
     /// Row subsample fraction per round.
     pub subsample: f32,
     /// Column subsample fraction per tree.
@@ -47,10 +49,6 @@ impl Default for GbtConfig {
         Self {
             n_rounds: 40,
             max_depth: 6,
-            learning_rate: 0.3,
-            lambda: 1.0,
-            gamma: 0.0,
-            min_child_weight: 1.0,
             subsample: 0.9,
             colsample: 0.8,
         }
@@ -215,7 +213,7 @@ impl RegTree {
         let g: f32 = indices.iter().map(|&i| ctx.grad[i]).sum();
         let h: f32 = indices.iter().map(|&i| ctx.hess[i]).sum();
         let node_id = self.nodes.len() as u32;
-        let leaf_weight = -ctx.cfg.learning_rate * g / (h + ctx.cfg.lambda);
+        let leaf_weight = -LEARNING_RATE * g / (h + LAMBDA);
         if depth >= ctx.cfg.max_depth || indices.len() < 2 {
             self.nodes.push(RegNode::Leaf {
                 weight: leaf_weight,
@@ -306,8 +304,7 @@ fn best_split_hist(
     g_total: f32,
     h_total: f32,
 ) -> Option<(u32, f32)> {
-    let cfg = ctx.cfg;
-    let parent_score = g_total * g_total / (h_total + cfg.lambda);
+    let parent_score = g_total * g_total / (h_total + LAMBDA);
     let k = ctx.features.len();
     // Interleaved (g, h) histograms: feature-major, bin-minor.
     let mut hists = vec![0.0f32; k * MAX_BINS * 2];
@@ -338,12 +335,11 @@ fn best_split_hist(
             hl += hist[b * 2 + 1];
             let gr = g_total - gl;
             let hr = h_total - hl;
-            if hl < cfg.min_child_weight || hr < cfg.min_child_weight {
+            if hl < MIN_CHILD_WEIGHT || hr < MIN_CHILD_WEIGHT {
                 continue;
             }
-            let gain = 0.5
-                * (gl * gl / (hl + cfg.lambda) + gr * gr / (hr + cfg.lambda) - parent_score)
-                - cfg.gamma;
+            let gain =
+                0.5 * (gl * gl / (hl + LAMBDA) + gr * gr / (hr + LAMBDA) - parent_score) - GAMMA;
             if gain > 1e-7 && best.is_none_or(|(_, _, bg)| gain > bg) {
                 best = Some((f, edges[b], gain));
             }
@@ -450,11 +446,6 @@ impl GradientBoostedTrees {
             n_classes: k,
             base_score,
         }
-    }
-
-    /// Number of boosting rounds stored.
-    pub fn n_rounds(&self) -> usize {
-        self.trees.len() / self.n_classes.max(1)
     }
 
     /// Raw (pre-softmax) margins for one row.

@@ -17,6 +17,8 @@
 //! * [`explain`] — additive per-feature attributions over the boosted
 //!   trees (the SHAP-beeswarm substitute for Fig. 9).
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod explain;
 pub mod forest;

@@ -80,25 +80,6 @@ impl ConfusionMatrix {
         self.counts.len()
     }
 
-    /// Row-normalised recall matrix.
-    pub fn recall_matrix(&self) -> Vec<Vec<f64>> {
-        self.counts
-            .iter()
-            .map(|row| {
-                let total: usize = row.iter().sum();
-                row.iter()
-                    .map(|&c| {
-                        if total == 0 {
-                            0.0
-                        } else {
-                            c as f64 / total as f64
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Render as an aligned text table restricted to classes with
     /// support, using the provided class names.
     pub fn render(&self, names: &[&str]) -> String {
@@ -156,15 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn confusion_matrix_counts_and_recall() {
+    fn confusion_matrix_counts_and_renders() {
         let cm = ConfusionMatrix::from_predictions(&[0, 0, 1, 1, 1], &[0, 1, 1, 1, 0], 2);
         assert_eq!(cm.get(0, 0), 1);
         assert_eq!(cm.get(0, 1), 1);
         assert_eq!(cm.get(1, 0), 1);
         assert_eq!(cm.get(1, 1), 2);
-        let recall = cm.recall_matrix();
-        assert!((recall[0][0] - 0.5).abs() < 1e-12);
-        assert!((recall[1][1] - 2.0 / 3.0).abs() < 1e-12);
         let rendered = cm.render(&["A", "B"]);
         assert!(rendered.contains('A') && rendered.contains('B'));
     }
@@ -178,15 +156,6 @@ mod tests {
         assert!(rendered.contains('A') && rendered.contains('C'));
         assert!(!rendered.contains('B'));
         assert!(!rendered.contains('D'));
-    }
-
-    #[test]
-    fn recall_matrix_rows_sum_to_one_for_supported_classes() {
-        let cm = ConfusionMatrix::from_predictions(&[0, 0, 1], &[0, 1, 1], 2);
-        for row in cm.recall_matrix() {
-            let sum: f64 = row.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]

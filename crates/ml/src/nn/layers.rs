@@ -71,11 +71,6 @@ impl Linear {
             cache_x: None,
         }
     }
-
-    /// Output width.
-    pub fn fan_out(&self) -> usize {
-        self.w.value.cols()
-    }
 }
 
 impl Layer for Linear {

@@ -41,18 +41,6 @@ impl MlpConfig {
             batch_size: 128,
         }
     }
-
-    /// A narrow variant for constrained scales / tests.
-    pub fn small() -> Self {
-        Self {
-            hidden: vec![64, 32],
-            dropout: 0.2,
-            dropout_layers: 1,
-            lr: 1e-2,
-            epochs: 60,
-            batch_size: 32,
-        }
-    }
 }
 
 /// A sequential MLP with a softmax classification head.
@@ -197,11 +185,23 @@ mod tests {
         (Matrix::from_vec(2 * n_per, 2, rows).unwrap(), y)
     }
 
+    /// A narrow network that trains in milliseconds.
+    fn small() -> MlpConfig {
+        MlpConfig {
+            hidden: vec![64, 32],
+            dropout: 0.2,
+            dropout_layers: 1,
+            lr: 1e-2,
+            epochs: 60,
+            batch_size: 32,
+        }
+    }
+
     #[test]
     fn learns_separable_blobs() {
         let (x, y) = blobs(40);
         let mut rng = StdRng::seed_from_u64(1);
-        let cfg = MlpConfig::small();
+        let cfg = small();
         let mlp = Mlp::fit(&mut rng, &x, &y, 2, &cfg);
         let acc = crate::metrics::accuracy(&y, &mlp.predict(&x));
         assert!(acc > 0.95, "train accuracy {acc}");
@@ -211,7 +211,7 @@ mod tests {
     fn loss_decreases() {
         let (x, y) = blobs(30);
         let mut rng = StdRng::seed_from_u64(2);
-        let cfg = MlpConfig::small();
+        let cfg = small();
         let mut mlp = Mlp::new(&mut rng, 2, 2, &cfg);
         let losses = mlp.train(&mut rng, &x, &y, &cfg);
         assert!(losses.last().unwrap() < &losses[0], "{losses:?}");
@@ -221,7 +221,7 @@ mod tests {
     fn probabilities_are_normalised() {
         let (x, y) = blobs(10);
         let mut rng = StdRng::seed_from_u64(3);
-        let cfg = MlpConfig::small();
+        let cfg = small();
         let mlp = Mlp::fit(&mut rng, &x, &y, 2, &cfg);
         for row in mlp.predict_proba(&x).rows_iter() {
             assert!((row.iter().sum::<f32>() - 1.0).abs() < 1e-4);

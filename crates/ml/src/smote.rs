@@ -10,29 +10,28 @@ use trail_linalg::Matrix;
 
 use crate::dataset::Dataset;
 
-/// SMOTE configuration.
+/// Number of same-class nearest neighbours to interpolate with.
+const K: usize = 5;
+/// Candidate pool size for the neighbour search. Exact k-NN is
+/// O(n² d) per class, which dominates on wide feature spaces; each
+/// sample's neighbours are found among at most this many randomly
+/// chosen same-class candidates instead.
+const NEIGHBOR_CANDIDATES: usize = 150;
+
+/// SMOTE configuration. The neighbour count (`K` = 5, Chawla et al.'s
+/// default) and the candidate pool (`NEIGHBOR_CANDIDATES` = 150) are
+/// fixed: no experiment varies them.
 #[derive(Debug, Clone, Copy)]
 pub struct SmoteConfig {
-    /// Number of same-class nearest neighbours to interpolate with.
-    pub k: usize,
     /// Cap on the oversampling ratio: a class is never grown beyond
     /// `max_ratio * its original size` (guards runaway blowup when one
     /// class is tiny).
     pub max_ratio: f32,
-    /// Candidate pool size for the neighbour search. Exact k-NN is
-    /// O(n² d) per class, which dominates on wide feature spaces; each
-    /// sample's neighbours are found among at most this many randomly
-    /// chosen same-class candidates instead (0 = exact).
-    pub neighbor_candidates: usize,
 }
 
 impl Default for SmoteConfig {
     fn default() -> Self {
-        Self {
-            k: 5,
-            max_ratio: 6.0,
-            neighbor_candidates: 150,
-        }
+        Self { max_ratio: 6.0 }
     }
 }
 
@@ -59,23 +58,22 @@ pub fn smote<R: Rng + ?Sized>(rng: &mut R, data: &Dataset, cfg: SmoteConfig) -> 
         }
         // Precompute k nearest same-class neighbours per member, over a
         // capped random candidate pool when the class is large.
-        let k = cfg.k.min(n - 1).max(1);
+        let k = K.min(n - 1).max(1);
         let neighbours: Vec<Vec<usize>> = members
             .iter()
             .map(|&i| {
-                let candidates: Vec<usize> =
-                    if cfg.neighbor_candidates > 0 && n - 1 > cfg.neighbor_candidates {
-                        (0..cfg.neighbor_candidates)
-                            .map(|_| loop {
-                                let j = members[rng.gen_range(0..n)];
-                                if j != i {
-                                    break j;
-                                }
-                            })
-                            .collect()
-                    } else {
-                        members.iter().copied().filter(|&j| j != i).collect()
-                    };
+                let candidates: Vec<usize> = if n - 1 > NEIGHBOR_CANDIDATES {
+                    (0..NEIGHBOR_CANDIDATES)
+                        .map(|_| loop {
+                            let j = members[rng.gen_range(0..n)];
+                            if j != i {
+                                break j;
+                            }
+                        })
+                        .collect()
+                } else {
+                    members.iter().copied().filter(|&j| j != i).collect()
+                };
                 let mut dists: Vec<(usize, f32)> = candidates
                     .iter()
                     .map(|&j| (j, sq_dist(data.x.row(i), data.x.row(j))))
@@ -173,15 +171,7 @@ mod tests {
         rows.extend_from_slice(&[0.0, 5.0, 0.0, 6.0]);
         y.extend_from_slice(&[1, 1]);
         let data = Dataset::new(Matrix::from_vec(102, 2, rows).unwrap(), y, 2);
-        let out = smote(
-            &mut rng,
-            &data,
-            SmoteConfig {
-                k: 5,
-                max_ratio: 3.0,
-                ..Default::default()
-            },
-        );
+        let out = smote(&mut rng, &data, SmoteConfig { max_ratio: 3.0 });
         assert_eq!(out.class_counts()[1], 6);
     }
 

@@ -12,8 +12,6 @@ pub enum FeatureSampling {
     All,
     /// `sqrt(n_features)` — the Random Forest default.
     Sqrt,
-    /// A fixed count.
-    Fixed(usize),
 }
 
 impl FeatureSampling {
@@ -21,7 +19,6 @@ impl FeatureSampling {
         match self {
             FeatureSampling::All => n_features,
             FeatureSampling::Sqrt => (n_features as f32).sqrt().ceil() as usize,
-            FeatureSampling::Fixed(k) => k.min(n_features),
         }
         .max(1)
     }

@@ -116,12 +116,6 @@ fn registry() -> &'static Registry {
     })
 }
 
-/// Whether recording is currently on (default: on, unless `TRAIL_OBS`
-/// is `0`/`off`/`false` at first use).
-pub fn enabled() -> bool {
-    registry().enabled.load(Ordering::Relaxed)
-}
-
 /// Turn recording on or off process-wide. Already-recorded data stays
 /// in the registry; live span guards opened while enabled still fold
 /// on drop.

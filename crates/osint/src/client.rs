@@ -13,10 +13,10 @@
 //!   rate-limit or timeout (`transient_fault_prob`), decided per
 //!   canonical key *and* attempt number, so a retry can succeed.
 //!
-//! Every query is canonicalised through [`trail_ioc::IocKey`] before it
-//! touches an index: `ThreeBody[.]CN.` and `threebody.cn` are the same
-//! indicator and get the same answer, the same gap and the same fault
-//! stream. Relational strings in responses are *presented* the way a
+//! Every query is a [`trail_ioc::IocKeyRef`], canonical by
+//! construction, so it touches an index as it stands:
+//! `ThreeBody[.]CN.` and `threebody.cn` parse to the same key and get
+//! the same answer, the same gap and the same fault stream. Relational strings in responses are *presented* the way a
 //! messy feed would print them (`feed_noise`) — mixed case, trailing
 //! dots, defanged — without changing their identity.
 
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use trail_ioc::analysis::{Analysis, DomainAnalysis, IpAnalysis, UrlAnalysis};
 use trail_ioc::defang::defang;
 use trail_ioc::report::RawReport;
-use trail_ioc::{fnv1a, Fnv1a, Ioc, IocKind};
+use trail_ioc::{fnv1a, Fnv1a, IocKeyRef, IocKind};
 
 use crate::breaker::CircuitBreaker;
 use crate::world::World;
@@ -175,18 +175,6 @@ impl OsintClient {
         out
     }
 
-    /// Canonicalise raw query text so every spelling of an indicator
-    /// maps to one index key (and one miss/fault stream). Unparseable
-    /// text falls back to its trimmed raw form — it will find nothing,
-    /// which is the right answer for garbage. One allocation: the
-    /// canonical text the parser builds is moved out, never re-cloned
-    /// through an owned [`trail_ioc::IocKey`].
-    fn canonical(kind: IocKind, raw: &str) -> String {
-        Ioc::parse_as(kind, raw)
-            .map(Ioc::into_text)
-            .unwrap_or_else(|_| raw.trim().to_owned())
-    }
-
     /// Deterministic per-key analysis gap: true when the query "misses".
     fn misses(&self, key: &str) -> bool {
         let p = self.world.config.analysis_miss_prob;
@@ -275,26 +263,26 @@ impl OsintClient {
         }
     }
 
-    /// Analyse the `kind` IOC spelled `raw` as of `asof_day`: `Err` on
-    /// an injected transient fault for this `attempt` or a breaker
-    /// rejection, `Ok(None)` on a permanent gap or unknown IOC.
+    /// Analyse the IOC `key` as of `asof_day`: `Err` on an injected
+    /// transient fault for this `attempt` or a breaker rejection,
+    /// `Ok(None)` on a permanent gap or unknown IOC. The key is
+    /// canonical by construction, so its text is the index key and the
+    /// miss/fault hash input as it stands.
     pub fn try_analyze(
         &self,
-        kind: IocKind,
-        raw: &str,
+        key: IocKeyRef<'_>,
         asof_day: u32,
         attempt: u32,
     ) -> Result<Option<Analysis>, OsintError> {
         trail_obs::counter_add("osint.queries", 1);
         self.gate()?;
-        let key = Self::canonical(kind, raw);
-        if let Some(e) = self.fault(&key, attempt) {
+        if let Some(e) = self.fault(key.text(), attempt) {
             trail_obs::counter_add("osint.faults", 1);
             self.record_outcome(true);
             return Err(e);
         }
         self.record_outcome(false);
-        Ok(self.lookup(kind, &key, asof_day))
+        Ok(self.lookup(key.kind(), key.text(), asof_day))
     }
 
     /// The analysis of a canonical key, or `None` (counted under
@@ -388,6 +376,7 @@ mod tests {
     use crate::config::WorldConfig;
     use crate::world::World;
     use trail_ioc::defang::refang;
+    use trail_ioc::IocKey;
 
     fn client() -> OsintClient {
         OsintClient::new(Arc::new(World::generate(WorldConfig::tiny(9))))
@@ -399,10 +388,17 @@ mod tests {
         OsintClient::new(Arc::new(World::generate(cfg)))
     }
 
+    /// The canonical key of a domain spelling.
+    fn domain(raw: &str) -> IocKey {
+        IocKey::parse(IocKind::Domain, raw).expect("a valid domain")
+    }
+
     /// Attempt 0 of a query to a world with no breaker and no injected
-    /// faults: the analysis itself.
+    /// faults: the analysis itself. `raw` is parsed first, as every
+    /// caller of [`OsintClient::try_analyze`] must.
     fn analyze(c: &OsintClient, kind: IocKind, raw: &str, day: u32) -> Option<Analysis> {
-        c.try_analyze(kind, raw, day, 0)
+        let key = IocKey::parse(kind, raw).expect("a valid spelling");
+        c.try_analyze(key.as_ref(), day, 0)
             .expect("no faults at p=0 and no breaker")
     }
 
@@ -566,7 +562,7 @@ mod tests {
         let refanged: Vec<String> = a_noisy
             .resolved_ips
             .iter()
-            .map(|s| OsintClient::canonical(IocKind::Ip, s))
+            .map(|s| IocKey::parse(IocKind::Ip, s).unwrap().text().to_owned())
             .collect();
         assert_eq!(refanged, a_clean.resolved_ips);
         assert!(
@@ -604,8 +600,8 @@ mod tests {
         let name = c.world().domain_names[0].clone();
         for attempt in 0..4 {
             assert_eq!(
-                c.try_analyze(IocKind::Domain, &name, 700, attempt),
-                c.try_analyze(IocKind::Domain, &name, 700, attempt),
+                c.try_analyze(domain(&name).as_ref(), 700, attempt),
+                c.try_analyze(domain(&name).as_ref(), 700, attempt),
                 "attempt {attempt} not reproducible"
             );
         }
@@ -613,7 +609,7 @@ mod tests {
         let mut faulted = 0;
         let mut succeeded = 0;
         for name in c.world().domain_names.iter().take(40) {
-            match c.try_analyze(IocKind::Domain, name, 700, 0) {
+            match c.try_analyze(domain(name).as_ref(), 700, 0) {
                 Err(e) => {
                     assert!(e.is_transient());
                     faulted += 1;
@@ -640,12 +636,12 @@ mod tests {
         let name = c.world().domain_names[0].clone();
         // Three admitted faults trip the breaker…
         for a in 0..3 {
-            let e = c.try_analyze(IocKind::Domain, &name, 700, a).unwrap_err();
+            let e = c.try_analyze(domain(&name).as_ref(), 700, a).unwrap_err();
             assert!(e.is_transient());
         }
         assert_eq!(breaker.state(), BreakerState::Open);
         // …then queries are shed before reaching the feed.
-        let e = c.try_analyze(IocKind::Domain, &name, 700, 3).unwrap_err();
+        let e = c.try_analyze(domain(&name).as_ref(), 700, 3).unwrap_err();
         assert_eq!(e, OsintError::CircuitOpen);
         assert!(!e.is_transient());
     }
@@ -668,17 +664,17 @@ mod tests {
         let name = c.world().domain_names[0].clone();
         // Two rejections serve the cooldown.
         assert_eq!(
-            c.try_analyze(IocKind::Domain, &name, 700, 0),
+            c.try_analyze(domain(&name).as_ref(), 700, 0),
             Err(OsintError::CircuitOpen)
         );
         assert_eq!(
-            c.try_analyze(IocKind::Domain, &name, 700, 0),
+            c.try_analyze(domain(&name).as_ref(), 700, 0),
             Err(OsintError::CircuitOpen)
         );
         assert_eq!(breaker.state(), BreakerState::HalfOpen);
         // Probes succeed (p=0 faults) and re-close the breaker.
-        assert!(c.try_analyze(IocKind::Domain, &name, 700, 0).is_ok());
-        assert!(c.try_analyze(IocKind::Domain, &name, 700, 0).is_ok());
+        assert!(c.try_analyze(domain(&name).as_ref(), 700, 0).is_ok());
+        assert!(c.try_analyze(domain(&name).as_ref(), 700, 0).is_ok());
         assert_eq!(breaker.state(), BreakerState::Closed);
     }
 
@@ -694,11 +690,11 @@ mod tests {
         }
         let name = a.world().domain_names[0].clone();
         assert_eq!(
-            a.try_analyze(IocKind::Domain, &name, 700, 0),
+            a.try_analyze(domain(&name).as_ref(), 700, 0),
             Err(OsintError::CircuitOpen)
         );
         assert_eq!(
-            b.try_analyze(IocKind::Domain, &name, 700, 0),
+            b.try_analyze(domain(&name).as_ref(), 700, 0),
             Err(OsintError::CircuitOpen)
         );
         assert_eq!(breaker.state(), BreakerState::Open);
@@ -709,14 +705,14 @@ mod tests {
         let c = client();
         let name = c.world().domain_names[0].clone();
         assert!(
-            c.try_analyze(IocKind::Domain, &name, 700, 0).is_ok(),
+            c.try_analyze(domain(&name).as_ref(), 700, 0).is_ok(),
             "faults injected at p=0"
         );
         let f = client_with(|cfg| cfg.transient_fault_prob = 0.5);
         // Some key that faults on attempt 0 succeeds on a later attempt.
         let recovered = f.world().domain_names.iter().take(60).any(|n| {
-            f.try_analyze(IocKind::Domain, n, 700, 0).is_err()
-                && (1..4).any(|a| f.try_analyze(IocKind::Domain, n, 700, a).is_ok())
+            f.try_analyze(domain(n).as_ref(), 700, 0).is_err()
+                && (1..4).any(|a| f.try_analyze(domain(n).as_ref(), 700, a).is_ok())
         });
         assert!(recovered, "no faulting key recovered within 3 retries");
     }

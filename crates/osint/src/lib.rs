@@ -20,6 +20,8 @@
 //! weak per-IOC feature signal, heavy intra-APT infrastructure reuse,
 //! and enrichment-only (secondary) connectivity.
 
+#![forbid(unsafe_code)]
+
 pub mod breaker;
 pub mod client;
 pub mod config;

@@ -438,31 +438,6 @@ impl World {
             events,
         }
     }
-
-    /// Registry sizes `(ips, domains, urls, asns)` — world inventory.
-    pub fn inventory(&self) -> (usize, usize, usize, usize) {
-        (
-            self.ips.len(),
-            self.domains.len(),
-            self.urls.len(),
-            self.asns.len(),
-        )
-    }
-
-    /// All IP addresses in the world registry.
-    pub fn ip_names(&self) -> &[String] {
-        &self.ip_names
-    }
-
-    /// All domain names in the world registry.
-    pub fn domain_names(&self) -> &[String] {
-        &self.domain_names
-    }
-
-    /// All URLs in the world registry.
-    pub fn url_names(&self) -> &[String] {
-        &self.url_names
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1336,7 +1311,10 @@ mod tests {
         let w2 = World::generate(WorldConfig::tiny(42));
         assert_eq!(w1.events.len(), w2.events.len());
         assert_eq!(w1.events[0].report, w2.events[0].report);
-        assert_eq!(w1.inventory(), w2.inventory());
+        assert_eq!(
+            (w1.ips.len(), w1.domains.len(), w1.urls.len(), w1.asns.len()),
+            (w2.ips.len(), w2.domains.len(), w2.urls.len(), w2.asns.len())
+        );
     }
 
     #[test]

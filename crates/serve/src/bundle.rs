@@ -150,11 +150,12 @@ impl ServeBundle {
 
     /// Re-freeze a live stream's current state into a bundle — the
     /// packaging half of zero-downtime hot swap (the producer half is
-    /// [`trail::freeze::refreeze`]). The result passes the same
-    /// cross-validation as any other bundle and is ready for
-    /// [`crate::ServeRuntime::install`]; the stream keeps running.
+    /// [`StreamRuntime::freeze_fresh`](trail::stream::StreamRuntime::freeze_fresh)).
+    /// The result passes the same cross-validation as any other bundle
+    /// and is ready for [`crate::ServeRuntime::install`]; the stream
+    /// keeps running.
     pub fn refreeze(rt: &mut trail::stream::StreamRuntime) -> Result<Self> {
-        let frozen = freeze::refreeze(rt);
+        let frozen = rt.freeze_fresh();
         Self::freeze(&rt.system().tkg, &frozen)
     }
 
@@ -299,11 +300,6 @@ impl ServeBundle {
     /// The embedded historical graph (read-only).
     pub fn graph(&self) -> &GraphStore {
         &self.graph
-    }
-
-    /// APT label names, indexed by class.
-    pub fn class_names(&self) -> &[String] {
-        &self.class_names
     }
 
     /// The frozen attributed events.

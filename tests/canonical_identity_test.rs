@@ -135,9 +135,9 @@ fn noisy_client_actually_emits_noncanonical_text() {
     for report in client.events_before(day) {
         let parsed = report.parse();
         for ioc in &parsed.iocs {
-            if let Ioc::Domain(d) = ioc {
+            if let Ioc::Domain(_) = ioc {
                 let analysis = client
-                    .try_analyze(IocKind::Domain, &d.text, day, 0)
+                    .try_analyze(ioc.key_ref(), day, 0)
                     .expect("no faults at p=0 and no breaker");
                 if let Some(Analysis::Domain(a)) = analysis {
                     for ip in &a.resolved_ips {
