@@ -5,13 +5,15 @@
 //! kernels [--quick] [--check] [--out PATH]
 //! ```
 //!
-//! Sweeps the GNN/autoencoder shapes the pipeline actually runs:
+//! Sweeps the GNN/autoencoder shapes the pipeline trains at:
 //! `matmul`, `matmul_t` and `t_matmul` measure the blocked kernels
 //! against the exact pre-blocking reference loops
 //! (`trail_linalg::reference`), and `matmul_quant` measures the i8
 //! path (per-row activation quantization included, weight
 //! quantization cached — matching how `forward_quantized` uses it)
-//! against both the old and the new f32 kernel. All timings are
+//! against both the old and the new f32 kernel. The i8 path is also
+//! timed alone at the serve forward's two shapes (sites `serve_layer0`
+//! and `serve_layer1`), outside both gates. All timings are
 //! min-of-N wall clock, single thread (`TRAIL_THREADS=1` is forced
 //! before the pool spins up). The kernels compared on one shape take
 //! their repetitions in turn (for `matmul`: reference, blocked, i8,
@@ -41,7 +43,7 @@
 use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 
-use trail_linalg::quant::{matmul_quant_into, QuantizedMatrix};
+use trail_linalg::quant::{matmul_quant_into, QuantizedMatrix, QuantizedWeights};
 use trail_linalg::{kernels, reference, Matrix};
 
 /// (rows, inner, cols) products the models run: autoencoder encode at
@@ -53,6 +55,19 @@ const SHAPES: &[(usize, usize, usize, &str)] = &[
     (4096, 256, 64, "sage_hidden_default"),
     (4096, 64, 16, "sage_logits"),
 ];
+
+/// The serve forward's i8 products, `x @ W` per weight matrix, at the
+/// perfbench set-up bundle's typical query (seed 1): 29 rows of the
+/// 59-wide input into 32 hidden units at layer 0, and 6 hidden rows
+/// into 22 logits at layer 1. Reported as `matmul_quant` cases only,
+/// and kept out of both geometric means, so the gates' bars stay those
+/// of the training shapes.
+const SERVE_SHAPES: &[(usize, usize, usize, &str)] =
+    &[(29, 59, 32, "serve_layer0"), (6, 32, 22, "serve_layer1")];
+
+/// Repetitions per serve shape: a call takes microseconds, so the
+/// minimum needs many more samples than the training shapes take.
+const SERVE_REPS: usize = 2000;
 
 const PAGE_FLOATS: usize = 4096 / std::mem::size_of::<f32>();
 
@@ -129,6 +144,39 @@ fn geomean(v: &[f64]) -> f64 {
     (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp()
 }
 
+/// Min-of-`reps` times of `C = A @ B` (`A` is `a`, `m × k`; `B` is
+/// `k × n`): the reference loop, the blocked f32 kernel, and the i8
+/// path on the same product — weights quantized once outside the
+/// timing, activations quantized inside it, as `forward_quantized`
+/// does.
+fn time_matmuls(a: &Paged, m: usize, k: usize, n: usize, reps: usize) -> [f64; 3] {
+    let b = fill(n as u64 * 13 + 5, k * n);
+    let mut c_old = Paged::zeros(m * n);
+    let mut c_new = Paged::zeros(m * n);
+    let bm = Matrix::from_vec(k, n, b.to_vec()).unwrap();
+    let qbt = QuantizedWeights::from_cols(&bm);
+    let am = Matrix::from_vec(m, k, a.to_vec()).unwrap();
+    let mut qa = QuantizedMatrix::new();
+    let mut qc = Matrix::zeros(m, n);
+    time_min(
+        reps,
+        [
+            &mut || {
+                c_old.fill(0.0);
+                reference::matmul_rows_skip(a, k, &b, n, &mut c_old);
+            },
+            &mut || {
+                c_new.fill(0.0);
+                kernels::matmul_rows(a, k, &b, n, &mut c_new);
+            },
+            &mut || {
+                qa.quantize_rows_into(&am);
+                matmul_quant_into(&qa, &qbt, &mut qc).expect("quant shapes");
+            },
+        ],
+    )
+}
+
 struct Case {
     kernel: &'static str,
     site: &'static str,
@@ -163,34 +211,7 @@ fn main() {
         let reps = if quick { 3.min(base_reps) } else { base_reps };
 
         let a = fill(m as u64 * 7 + k as u64, m * k);
-        let b = fill(n as u64 * 13 + 5, k * n);
-        let mut c_old = Paged::zeros(m * n);
-        let mut c_new = Paged::zeros(m * n);
-
-        // -- matmul: C = A @ B, and matmul_quant on the same product:
-        // weights cached, activations quantized per call --
-        let bm = Matrix::from_vec(k, n, b.to_vec()).unwrap();
-        let qbt = QuantizedMatrix::from_cols(&bm);
-        let am = Matrix::from_vec(m, k, a.to_vec()).unwrap();
-        let mut qa = QuantizedMatrix::new();
-        let mut qc = Matrix::zeros(m, n);
-        let [old_ns, new_ns, quant_ns] = time_min(
-            reps,
-            [
-                &mut || {
-                    c_old.fill(0.0);
-                    reference::matmul_rows_skip(&a, k, &b, n, &mut c_old);
-                },
-                &mut || {
-                    c_new.fill(0.0);
-                    kernels::matmul_rows(&a, k, &b, n, &mut c_new);
-                },
-                &mut || {
-                    qa.quantize_rows_into(&am);
-                    matmul_quant_into(&qa, &qbt, &mut qc).expect("quant shapes");
-                },
-            ],
-        );
+        let [old_ns, new_ns, quant_ns] = time_matmuls(&a, m, k, n, reps);
         cases.push(Case {
             kernel: "matmul",
             site,
@@ -258,6 +279,20 @@ fn main() {
             old_ns: old_tm_ns,
             new_ns: new_tm_ns,
             extra: vec![],
+        });
+    }
+
+    for &(m, k, n, site) in SERVE_SHAPES {
+        let reps = if quick { SERVE_REPS / 10 } else { SERVE_REPS };
+        let a = fill(m as u64 * 7 + k as u64, m * k);
+        let [old_ns, new_ns, quant_ns] = time_matmuls(&a, m, k, n, reps);
+        cases.push(Case {
+            kernel: "matmul_quant",
+            site,
+            shape: (m, k, n),
+            old_ns,
+            new_ns: quant_ns,
+            extra: vec![("vs_new_f32", new_ns / quant_ns)],
         });
     }
 

@@ -25,7 +25,7 @@
 use rand::Rng;
 use trail_graph::algo::ball::{Ball, NOT_A_MEMBER};
 use trail_graph::{Csr, NodeId};
-use trail_linalg::quant::{matmul_quant_acc, matmul_quant_into, QuantizedMatrix};
+use trail_linalg::quant::{matmul_quant_acc, matmul_quant_into, QuantizedMatrix, QuantizedWeights};
 use trail_linalg::{init, Matrix};
 use trail_ml::nn::{Adam, Param};
 
@@ -718,11 +718,11 @@ pub fn scatter_mean_grad_with_threads(csr: &Csr, d_agg: &Matrix, threads: usize)
 }
 
 /// i8 snapshots of one layer's weight matrices, column-quantized and
-/// stored transposed (see [`QuantizedMatrix::from_cols`]).
+/// packed (see [`QuantizedWeights::from_cols`]).
 #[derive(Clone)]
 struct QuantLayerWeights {
-    qw_root_t: QuantizedMatrix,
-    qw_nbr_t: QuantizedMatrix,
+    qw_root: QuantizedWeights,
+    qw_nbr: QuantizedWeights,
 }
 
 /// Weight cache and scratch buffers for the quantized inference path.
@@ -1033,8 +1033,8 @@ impl SageModel {
         self.quant.layers.clear();
         for layer in &self.layers {
             self.quant.layers.push(QuantLayerWeights {
-                qw_root_t: QuantizedMatrix::from_cols(&layer.w_root.value),
-                qw_nbr_t: QuantizedMatrix::from_cols(&layer.w_nbr.value),
+                qw_root: QuantizedWeights::from_cols(&layer.w_root.value),
+                qw_nbr: QuantizedWeights::from_cols(&layer.w_nbr.value),
             });
         }
         self.quant.built_at = Some(self.weights_version);
@@ -1107,8 +1107,8 @@ impl SageModel {
             qagg.quantize_rows_into(agg);
             ensure_shape(out, n, d_out);
             let qw = &qweights[l];
-            matmul_quant_into(qh, &qw.qw_root_t, out).expect("root shape");
-            matmul_quant_acc(qagg, &qw.qw_nbr_t, out).expect("nbr shape");
+            matmul_quant_into(qh, &qw.qw_root, out).expect("root shape");
+            matmul_quant_acc(qagg, &qw.qw_nbr, out).expect("nbr shape");
             out.add_row_broadcast(layer.b.value.as_slice())
                 .expect("bias");
             if !layer.last {

@@ -14,34 +14,52 @@
 //!   widest reduction (K = 1517 input features), far below `i32::MAX`,
 //!   so the integer sum is order-free and overflow-free.
 //!
-//! Activations quantize **per row** (one scale per sample). Weights
-//! quantize **per output column** via [`QuantizedMatrix::from_cols`],
-//! which stores the transpose so the kernel reduces row·row over
-//! contiguous memory. The end-to-end elementwise error of
+//! Activations quantize **per row** into a [`QuantizedMatrix`] (one
+//! scale per sample). Weights quantize **per output column** into
+//! [`QuantizedWeights`]. The end-to-end elementwise error of
 //! `C = A @ B` against f32 is then bounded by
 //! `K · s_a[i] · s_b[j] · (127 + 1/4)` (write `x = s_a q_a + e_a`,
 //! `y = s_b q_b + e_b` with `|e| ≤ s/2` and expand), which the
-//! kernel-equivalence property tests assert case by case.
+//! kernel property tests assert case by case.
 //!
-//! The matmul dispatches per call between a portable lane-split loop
-//! and hand-vectorized x86-64 row kernels (`vpmaddwd`, and `vpdpbusd`
-//! on AVX-512 VNNI). Because the i32 reduction is exact in any order,
-//! all paths produce **bit-identical** results — hardware dispatch
-//! never changes an attribution, only its latency.
+//! The matmul is a register-blocked micro-kernel over one packed
+//! weight layout. The weights are packed once, into panels of 16
+//! output columns by 4-byte reduction groups, and the activation rows
+//! are zero-padded to whole groups. On AVX-512 VNNI the kernel keeps
+//! 4 rows × 2 panels of i32 accumulators in registers: per group it
+//! loads one 64-byte word per panel, broadcasts one group per row and
+//! issues one `vpdpbusd` per accumulator, then dequantizes 16 outputs
+//! per instruction. Elsewhere a portable kernel reads the same layout.
+//! Both sums are exact in i32 and both end in the same
+//! `sa · sb[j] · s as f32`, so the kernels are **bit-identical** —
+//! hardware dispatch never changes an attribution, only its latency.
 
 use crate::{Matrix, Result, ShapeError};
 
-/// A row-major i8 matrix with one dequantization scale per row.
+/// Reduction bytes per group: `vpdpbusd` contracts 4 byte pairs into
+/// each i32 lane. Activation rows are padded to a multiple of it.
+const GROUP: usize = 4;
+/// Output columns per weight panel: one 512-bit register of i32 sums.
+const PANEL: usize = 16;
+/// Bytes of one panel's group: the VNNI kernel's 64-byte load.
+const PANEL_GROUP: usize = PANEL * GROUP;
+
+/// A row-major i8 matrix with one dequantization scale per row: the
+/// activation side of [`matmul_quant_into`]. Each row is stored
+/// zero-padded to a whole number of 4-byte groups.
 #[derive(Debug, Clone, Default)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
+    /// Row stride in bytes: `cols` rounded up to a multiple of
+    /// `GROUP`, the padding zero.
+    stride: usize,
     data: Vec<i8>,
     scales: Vec<f32>,
-    /// Per-row Σq, maintained by the quantizers. The VNNI kernel's
-    /// `vpdpbusd` wants one operand unsigned, so it computes
-    /// `Σ (q_a + 128) · q_b` and subtracts `128 · Σ q_b` — this is that
-    /// correction term, free at quantization time.
+    /// Per-row Σq, maintained by the quantizers. The matmul reads the
+    /// weights as unsigned `q + 128` (see [`QuantizedWeights`]), so it
+    /// computes `Σ q_a · (q_b + 128)` and subtracts `128 · Σ q_a` —
+    /// this is that correction term, free at quantization time.
     rowsums: Vec<i32>,
 }
 
@@ -67,15 +85,15 @@ impl QuantizedMatrix {
     }
 
     /// Per-row sums of the stored codes (see the field docs; used by
-    /// the VNNI kernel's unsigned-operand bias correction).
+    /// the matmul's unsigned-operand bias correction).
     pub fn rowsums(&self) -> &[i32] {
         &self.rowsums
     }
 
-    /// One stored row of codes.
+    /// One stored row of codes, without its padding.
     pub fn row(&self, r: usize) -> &[i8] {
         debug_assert!(r < self.rows);
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        &self.data[r * self.stride..r * self.stride + self.cols]
     }
 
     /// Quantize `m` row by row (one scale per row). Allocating form of
@@ -101,10 +119,12 @@ impl QuantizedMatrix {
     pub fn quantize_prefix_into(&mut self, m: &Matrix, rows: usize) {
         assert!(rows <= m.rows(), "quantize {rows} of {} rows", m.rows());
         let cols = m.cols();
+        let stride = cols.next_multiple_of(GROUP);
         self.rows = rows;
         self.cols = cols;
+        self.stride = stride;
         self.data.clear();
-        self.data.resize(rows * cols, 0);
+        self.data.resize(rows * stride, 0);
         self.scales.clear();
         self.scales.resize(rows, 0.0);
         self.rowsums.clear();
@@ -116,38 +136,71 @@ impl QuantizedMatrix {
             .take(rows)
             .enumerate()
         {
-            let q = &mut self.data[r * cols..(r + 1) * cols];
+            let q = &mut self.data[r * stride..r * stride + cols];
             let (scale, rowsum) = quantize_row_dispatch(row, q, simd);
             self.scales[r] = scale;
             self.rowsums[r] = rowsum;
         }
     }
+}
 
-    /// Quantize `m` **per column**, storing the transpose: the result
-    /// has `m.cols()` rows of length `m.rows()`, each with its own
-    /// scale. This is the weight-side layout — per-output-channel
-    /// scales, contiguous reduction — for [`matmul_quant_into`].
+/// A weight matrix quantized **per column** (one scale per output) and
+/// packed for [`matmul_quant_into`]: the right-hand side of `x @ W`.
+///
+/// The codes are stored in panels of 16 output columns. Within a
+/// panel, each 4-byte reduction group holds 16 columns' 4 codes in a
+/// row, so one 64-byte load feeds 16 i32 lanes. Codes are stored
+/// biased as the unsigned byte `q + 128`, the operand `vpdpbusd`
+/// wants unsigned; the padding (reduction tail and missing columns of
+/// the last panel) is the byte 0, which adds nothing to any sum.
+#[derive(Debug, Clone, Default)]
+pub struct QuantizedWeights {
+    /// Reduction length K: the rows of the quantized matrix.
+    inputs: usize,
+    /// Output columns: the columns of the quantized matrix.
+    outputs: usize,
+    /// 4-byte groups per column, `ceil(K / 4)`.
+    groups: usize,
+    /// Byte `t` of group `g` of column `16p + c` sits at
+    /// `((p · groups + g) · 16 + c) · 4 + t`.
+    packed: Vec<u8>,
+    scales: Vec<f32>,
+}
+
+impl QuantizedWeights {
+    /// Quantize `m` **per column** and pack it. Column `j` gets the
+    /// codes and scale that [`QuantizedMatrix::quantize_rows`] gives
+    /// row `j` of `m`'s transpose.
     pub fn from_cols(m: &Matrix) -> Self {
-        let (m_rows, m_cols) = m.shape();
-        let mut col = vec![0.0f32; m_rows];
-        let mut out = Self {
-            rows: m_cols,
-            cols: m_rows,
-            data: vec![0; m_rows * m_cols],
-            scales: vec![0.0; m_cols],
-            rowsums: vec![0; m_cols],
-        };
+        let (inputs, outputs) = m.shape();
+        let groups = inputs.div_ceil(GROUP);
+        let mut packed = vec![0u8; outputs.div_ceil(PANEL) * groups * PANEL_GROUP];
+        let mut scales = vec![0.0f32; outputs];
+        let mut col = vec![0.0f32; inputs];
+        let mut q = vec![0i8; inputs];
         let simd = simd_quantize_available();
-        for c in 0..m_cols {
-            for r in 0..m_rows {
-                col[r] = m[(r, c)];
+        for (j, scale) in scales.iter_mut().enumerate() {
+            for (r, v) in col.iter_mut().enumerate() {
+                *v = m[(r, j)];
             }
-            let q = &mut out.data[c * m_rows..(c + 1) * m_rows];
-            let (scale, rowsum) = quantize_row_dispatch(&col, q, simd);
-            out.scales[c] = scale;
-            out.rowsums[c] = rowsum;
+            *scale = quantize_row_dispatch(&col, &mut q, simd).0;
+            let panel = (j / PANEL) * groups * PANEL_GROUP + (j % PANEL) * GROUP;
+            for (k, &c) in q.iter().enumerate() {
+                packed[panel + (k / GROUP) * PANEL_GROUP + k % GROUP] = c as u8 ^ 0x80;
+            }
         }
-        out
+        Self {
+            inputs,
+            outputs,
+            groups,
+            packed,
+            scales,
+        }
+    }
+
+    /// Per-output-column dequantization scales.
+    pub fn scales(&self) -> &[f32] {
+        &self.scales
     }
 }
 
@@ -231,93 +284,70 @@ fn quantize_row_dispatch(row: &[f32], q: &mut [i8], simd: bool) -> (f32, i32) {
     (scale, q.iter().map(|&v| v as i32).sum())
 }
 
-/// i8 lanes per accumulator block in [`dot_i8`]. Unlike the f32
-/// kernels, integer addition is associative, so the reduction may be
-/// lane-split freely — the sum is exact in any order. This also means
-/// every kernel below (portable, `vpmaddwd`, VNNI) returns the *same*
-/// i32 for the same inputs: there is no cross-platform drift to gate.
-const KL: usize = 16;
+/// Rows per tile of [`matmul_portable`]: each panel group is unpacked
+/// once for this many activation rows.
+const PORTABLE_ROWS: usize = 4;
 
-/// Lane-parallel exact i8·i8 → i32 dot product; the portable fallback
-/// and the reference the SIMD kernels are tested against. The
-/// fixed-size `[i32; KL]` partial sums are what lets LLVM widen the
-/// products and keep the whole reduction in vector registers.
-#[inline]
-fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    let mut acc = [0i32; KL];
-    let mut ca = a.chunks_exact(KL);
-    let mut cb = b.chunks_exact(KL);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        let xa: &[i8; KL] = xa.try_into().unwrap();
-        let xb: &[i8; KL] = xb.try_into().unwrap();
-        for l in 0..KL {
-            acc[l] += xa[l] as i32 * xb[l] as i32;
-        }
-    }
-    let mut s: i32 = acc.iter().sum();
-    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        s += x as i32 * y as i32;
-    }
-    s
-}
-
-/// One output row of the quantized product, portable path:
-/// `out[j] (=|+=) sa · sb[j] · (a_row · bt[j])`.
-fn quant_row_safe(
-    a_row: &[i8],
-    sa: f32,
-    bt: &QuantizedMatrix,
-    out_row: &mut [f32],
-    accumulate: bool,
-) {
-    let k = bt.cols;
-    for (j, o) in out_row.iter_mut().enumerate() {
-        let v = sa * bt.scales[j] * dot_i8(a_row, &bt.data[j * k..(j + 1) * k]) as f32;
-        if accumulate {
-            *o += v;
-        } else {
-            *o = v;
-        }
-    }
-}
-
-/// Which row kernel [`quant_mm`] runs; resolved once per matmul call.
-/// All variants produce bit-identical output (exact i32 reduction, and
-/// the final `sa · sb[j] · dot as f32` expression is the same in each).
-#[derive(Clone, Copy)]
-enum RowKernel {
-    Safe,
-    #[cfg(target_arch = "x86_64")]
-    Madd512,
-    #[cfg(target_arch = "x86_64")]
-    Vnni,
-}
-
-fn select_row_kernel() -> RowKernel {
-    #[cfg(target_arch = "x86_64")]
+/// Portable kernel over the packed layout, `PORTABLE_ROWS` rows by one
+/// panel at a time. Each 4-byte group's 64 weight bytes are split once
+/// into the 4 byte planes of its 16 columns; every row then adds its 4
+/// codes times those planes into 16 i32 sums, in fixed-size arrays
+/// LLVM keeps in vector registers.
+fn matmul_portable(a: &QuantizedMatrix, w: &QuantizedWeights, out: &mut [f32], accumulate: bool) {
+    let m = w.outputs;
+    let panel_len = w.groups * PANEL_GROUP;
+    for (i0, o_rows) in (0..)
+        .step_by(PORTABLE_ROWS)
+        .zip(out.chunks_mut(PORTABLE_ROWS * m))
     {
-        if std::arch::is_x86_feature_detected!("avx512vnni")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            return RowKernel::Vnni;
-        }
-        if std::arch::is_x86_feature_detected!("avx512bw") {
-            return RowKernel::Madd512;
+        let rows = o_rows.len() / m;
+        let a_rows = &a.data[i0 * a.stride..(i0 + rows) * a.stride];
+        for (p, panel) in w.packed.chunks_exact(panel_len).enumerate() {
+            let mut acc = [[0i32; PANEL]; PORTABLE_ROWS];
+            for (g, xb) in panel.chunks_exact(PANEL_GROUP).enumerate() {
+                let mut planes = [[0i16; PANEL]; GROUP];
+                for (c, b) in xb.chunks_exact(GROUP).enumerate() {
+                    for t in 0..GROUP {
+                        planes[t][c] = b[t] as i16;
+                    }
+                }
+                for (acc, xa) in acc.iter_mut().zip(a_rows.chunks_exact(a.stride)) {
+                    let xa = &xa[g * GROUP..(g + 1) * GROUP];
+                    for (t, plane) in planes.iter().enumerate() {
+                        let x = xa[t] as i16;
+                        for (s, &b) in acc.iter_mut().zip(plane) {
+                            // Any i8 times any u8 fits in i16: 128 · 255 < 2¹⁵.
+                            *s += (x * b) as i32;
+                        }
+                    }
+                }
+            }
+            let j0 = p * PANEL;
+            let cols = PANEL.min(m - j0);
+            for (r, acc) in acc.iter().enumerate().take(rows) {
+                let i = i0 + r;
+                let (sa, bias) = (a.scales[i], 128 * a.rowsums[i]);
+                let o = &mut o_rows[r * m + j0..r * m + j0 + cols];
+                for ((o, &b), &s) in o.iter_mut().zip(&w.scales[j0..]).zip(acc) {
+                    let v = sa * b * (s - bias) as f32;
+                    if accumulate {
+                        *o += v;
+                    } else {
+                        *o = v;
+                    }
+                }
+            }
         }
     }
-    RowKernel::Safe
 }
 
-/// Hand-vectorized row kernels. Autovectorization tops out around
-/// 16 MACs per ~2.5 cycles here because LLVM lowers the sign-extending
-/// i8 multiply as `vpmovsxbd` + `vpmulld`; `vpmaddwd` (32 i16 MACs per
-/// instruction) and `vpdpbusd` (64 i8 MACs) need explicit intrinsics.
-/// Both reduce in i32, which is exact, so outputs are bit-identical to
-/// [`dot_i8`] — the `simd_paths_match_safe_kernel` test checks each
-/// available path against it, tails included.
+/// The AVX-512 kernels. Integer sums are exact, so the VNNI kernel's
+/// outputs are bit-identical to [`matmul_portable`]'s;
+/// `tests/kernel_proptest.rs` checks both against a plain i32
+/// reference, tails included.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::QuantizedMatrix;
+    use super::{QuantizedMatrix, QuantizedWeights, GROUP, PANEL, PANEL_GROUP};
     use std::arch::x86_64::*;
 
     /// One-row quantizer: masked-load max-abs scan, then
@@ -369,197 +399,200 @@ mod x86 {
         (max_abs / 127.0, _mm512_reduce_add_epi32(vsum))
     }
 
-    /// `vpmaddwd` path (AVX-512BW): sign-extend 32 i8 to i16, multiply
-    /// pairwise into i32, accumulate. A single i16 product is at most
-    /// 127² = 16 129 and `vpmaddwd` adds two, staying well inside i16
-    /// pair → i32 range; the i32 accumulator then absorbs at most
-    /// `K/2` terms of |…| ≤ 32 258, far from overflow for any K the
-    /// workspace uses (≤ 1 517).
+    /// Rows per register tile of [`matmul_vnni`].
+    const ROWS: usize = 4;
+    /// Panels per register tile: 4 × 2 accumulators, 2 weight words
+    /// and a broadcast use 11 of the 32 zmm registers.
+    const PANELS: usize = 2;
+
+    /// `out (=|+=) a @ w` on AVX-512 VNNI, tile by tile: `ROWS` rows by
+    /// `PANELS` panels, then the row and panel tails with smaller tiles.
+    /// Every load stays inside its buffer because the quantizers keep
+    /// `a.stride == 4 · w.groups` whenever `a.cols == w.inputs`, store
+    /// `a.stride` bytes per row and `groups · 64` bytes per panel, and
+    /// the last panel's missing columns are masked.
     ///
     /// # Safety
-    /// Caller must ensure AVX-512BW is available. Slice bounds are
-    /// respected by construction (`p + 32 ≤ k` guards every load).
-    #[target_feature(enable = "avx512bw")]
-    pub unsafe fn quant_row_madd(
-        a_row: &[i8],
-        sa: f32,
-        bt: &QuantizedMatrix,
-        out_row: &mut [f32],
+    /// Caller must ensure AVX-512F, AVX-512BW and AVX-512VNNI are
+    /// available, `a.cols == w.inputs` and
+    /// `out.len() == a.rows · w.outputs`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub unsafe fn matmul_vnni(
+        a: &QuantizedMatrix,
+        w: &QuantizedWeights,
+        out: &mut [f32],
         accumulate: bool,
     ) {
-        let k = bt.cols();
-        let a = a_row.as_ptr();
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b = bt.row(j).as_ptr();
-            let mut acc0 = _mm512_setzero_si512();
-            let mut acc1 = _mm512_setzero_si512();
+        let panels = w.outputs.div_ceil(PANEL);
+        let mut i = 0;
+        while i < a.rows {
+            let rows = ROWS.min(a.rows - i);
             let mut p = 0;
-            while p + 64 <= k {
-                let va0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.add(p) as *const __m256i));
-                let vb0 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.add(p) as *const __m256i));
-                acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(va0, vb0));
-                let va1 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.add(p + 32) as *const __m256i));
-                let vb1 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.add(p + 32) as *const __m256i));
-                acc1 = _mm512_add_epi32(acc1, _mm512_madd_epi16(va1, vb1));
-                p += 64;
+            while p < panels {
+                let np = PANELS.min(panels - p);
+                match (rows, np) {
+                    (4, 2) => tile::<4, 2>(a, w, i, p, out, accumulate),
+                    (4, _) => tile::<4, 1>(a, w, i, p, out, accumulate),
+                    (3, 2) => tile::<3, 2>(a, w, i, p, out, accumulate),
+                    (3, _) => tile::<3, 1>(a, w, i, p, out, accumulate),
+                    (2, 2) => tile::<2, 2>(a, w, i, p, out, accumulate),
+                    (2, _) => tile::<2, 1>(a, w, i, p, out, accumulate),
+                    (_, 2) => tile::<1, 2>(a, w, i, p, out, accumulate),
+                    _ => tile::<1, 1>(a, w, i, p, out, accumulate),
+                }
+                p += np;
             }
-            if p + 32 <= k {
-                let va = _mm512_cvtepi8_epi16(_mm256_loadu_si256(a.add(p) as *const __m256i));
-                let vb = _mm512_cvtepi8_epi16(_mm256_loadu_si256(b.add(p) as *const __m256i));
-                acc0 = _mm512_add_epi32(acc0, _mm512_madd_epi16(va, vb));
-                p += 32;
-            }
-            if p < k {
-                // Masked tail (< 32 lanes): AVX-512 masked loads
-                // suppress faults on masked-off lanes, and zeroed
-                // lanes contribute zero products.
-                let mask = (1u64 << (k - p)) - 1;
-                let va = _mm512_castsi512_si256(_mm512_maskz_loadu_epi8(mask, a.add(p)));
-                let vb = _mm512_castsi512_si256(_mm512_maskz_loadu_epi8(mask, b.add(p)));
-                acc0 = _mm512_add_epi32(
-                    acc0,
-                    _mm512_madd_epi16(_mm512_cvtepi8_epi16(va), _mm512_cvtepi8_epi16(vb)),
-                );
-            }
-            let s = _mm512_reduce_add_epi32(_mm512_add_epi32(acc0, acc1));
-            let v = sa * bt.scales()[j] * s as f32;
-            if accumulate {
-                *o += v;
-            } else {
-                *o = v;
-            }
+            i += rows;
         }
     }
 
-    /// VNNI path: `vpdpbusd` contracts 64 u8·i8 MACs per instruction.
-    /// One operand must be unsigned, so the activation codes are biased
-    /// by +128 (a sign-bit XOR) and the kernel subtracts
-    /// `128 · Σ q_b` afterwards — that row sum is precomputed by the
-    /// quantizers ([`QuantizedMatrix::rowsums`]). The `vpdpbusd`
-    /// intermediate (4 products ≤ 255·127 each) and the i32 accumulator
-    /// stay far from overflow for K ≤ 1 517.
+    /// One register tile: rows `i0..i0 + R` against panels
+    /// `p0..p0 + P`. Per 4-byte group, each panel's 64 weight bytes
+    /// are loaded once and each row's 4 activation codes broadcast
+    /// once, then `vpdpbusd` adds `Σ_t (q_b + 128) · q_a` into every
+    /// lane. The epilogue removes the bias (`− 128 · Σ q_a`) and
+    /// dequantizes 16 lanes at once as `(sa · sb[j]) · s`, the
+    /// portable kernel's expression; the last panel's missing columns
+    /// are masked off on load and store.
     ///
     /// # Safety
-    /// Caller must ensure AVX-512VNNI and AVX-512BW are available.
-    #[target_feature(enable = "avx512vnni,avx512bw")]
-    pub unsafe fn quant_row_vnni(
-        a_row: &[i8],
-        sa: f32,
-        bt: &QuantizedMatrix,
-        out_row: &mut [f32],
+    /// As [`matmul_vnni`], plus `i0 + R ≤ a.rows` and
+    /// `16 · (p0 + P) < w.outputs + 16`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    #[inline]
+    unsafe fn tile<const R: usize, const P: usize>(
+        a: &QuantizedMatrix,
+        w: &QuantizedWeights,
+        i0: usize,
+        p0: usize,
+        out: &mut [f32],
         accumulate: bool,
     ) {
-        let k = bt.cols();
-        let a = a_row.as_ptr();
-        let off = _mm512_set1_epi8(-128i8); // XOR flips the sign bit: q + 128 as u8
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b = bt.row(j).as_ptr();
-            let mut acc0 = _mm512_setzero_si512();
-            let mut acc1 = _mm512_setzero_si512();
-            let mut p = 0;
-            while p + 128 <= k {
-                let va0 = _mm512_xor_si512(_mm512_loadu_si512(a.add(p) as *const __m512i), off);
-                let vb0 = _mm512_loadu_si512(b.add(p) as *const __m512i);
-                acc0 = _mm512_dpbusd_epi32(acc0, va0, vb0);
-                let va1 =
-                    _mm512_xor_si512(_mm512_loadu_si512(a.add(p + 64) as *const __m512i), off);
-                let vb1 = _mm512_loadu_si512(b.add(p + 64) as *const __m512i);
-                acc1 = _mm512_dpbusd_epi32(acc1, va1, vb1);
-                p += 128;
+        let mut acc = [[_mm512_setzero_si512(); P]; R];
+        let panel_len = w.groups * PANEL_GROUP;
+        let xa = a.data.as_ptr().add(i0 * a.stride);
+        let xb = w.packed.as_ptr().add(p0 * panel_len);
+        for g in 0..w.groups {
+            let mut b = [_mm512_setzero_si512(); P];
+            for (p, b) in b.iter_mut().enumerate() {
+                *b = _mm512_loadu_si512(xb.add(p * panel_len + g * PANEL_GROUP) as *const __m512i);
             }
-            if p + 64 <= k {
-                let va = _mm512_xor_si512(_mm512_loadu_si512(a.add(p) as *const __m512i), off);
-                let vb = _mm512_loadu_si512(b.add(p) as *const __m512i);
-                acc0 = _mm512_dpbusd_epi32(acc0, va, vb);
-                p += 64;
+            for (r, acc) in acc.iter_mut().enumerate() {
+                let x = (xa.add(r * a.stride + g * GROUP) as *const i32).read_unaligned();
+                let x = _mm512_set1_epi32(x);
+                for (acc, &b) in acc.iter_mut().zip(&b) {
+                    *acc = _mm512_dpbusd_epi32(*acc, b, x);
+                }
             }
-            if p < k {
-                // Masked tail (< 64 lanes), fault-suppressed. Masked-off
-                // b lanes load as zero, so their products vanish; the
-                // XOR turns masked-off a lanes into +128 which those
-                // zero b lanes ignore. The biased sum therefore covers
-                // the entire row and the correction below is exactly
-                // `128 · Σ q_b`.
-                let mask = (1u64 << (k - p)) - 1;
-                let va = _mm512_xor_si512(_mm512_maskz_loadu_epi8(mask, a.add(p)), off);
-                let vb = _mm512_maskz_loadu_epi8(mask, b.add(p));
-                acc0 = _mm512_dpbusd_epi32(acc0, va, vb);
-            }
-            let biased = _mm512_reduce_add_epi32(_mm512_add_epi32(acc0, acc1));
-            let s = biased - 128 * bt.rowsums()[j];
-            let v = sa * bt.scales()[j] * s as f32;
-            if accumulate {
-                *o += v;
-            } else {
-                *o = v;
+        }
+        let m = w.outputs;
+        for (r, acc) in acc.iter().enumerate() {
+            let i = i0 + r;
+            let bias = _mm512_set1_epi32(128 * a.rowsums[i]);
+            let sa = _mm512_set1_ps(a.scales[i]);
+            for (p, &acc) in acc.iter().enumerate() {
+                let j0 = (p0 + p) * PANEL;
+                let mask = if m - j0 >= PANEL {
+                    u16::MAX
+                } else {
+                    (1u16 << (m - j0)) - 1
+                };
+                let sb = _mm512_maskz_loadu_ps(mask, w.scales.as_ptr().add(j0));
+                let s = _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, bias));
+                let mut v = _mm512_mul_ps(_mm512_mul_ps(sa, sb), s);
+                let o = out.as_mut_ptr().add(i * m + j0);
+                if accumulate {
+                    v = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, o), v);
+                }
+                _mm512_mask_storeu_ps(o, mask, v);
             }
         }
     }
 }
 
-/// `out[i][j] = a.scale[i] · bt.scale[j] · Σ_k a[i][k] · bt[j][k]`.
+/// True when the VNNI kernel can run; resolved once per matmul call.
+fn vnni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512vnni")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// `out[i][j] = a.scale[i] · w.scale[j] · Σ_k a[i][k] · w[k][j]`.
 ///
-/// `a` is row-quantized activations `(n × K)`, `bt` a column-quantized
-/// weight matrix from [`QuantizedMatrix::from_cols`] `(m × K)`; `out`
-/// has shape `(n, m)` and is fully overwritten. The i32 accumulation
-/// is exact (see module docs), so all rounding error comes from the
-/// two quantizations.
+/// `a` is row-quantized activations `(n × K)`, `w` column-quantized
+/// weights from [`QuantizedWeights::from_cols`] `(K × m)`; `out` has
+/// shape `(n, m)` and is fully overwritten. The i32 accumulation is
+/// exact (see module docs), so all rounding error comes from the two
+/// quantizations.
 pub fn matmul_quant_into(
     a: &QuantizedMatrix,
-    bt: &QuantizedMatrix,
+    w: &QuantizedWeights,
     out: &mut Matrix,
 ) -> Result<()> {
-    quant_mm(a, bt, out, false)
+    quant_mm(a, w, out, false, vnni_available())
 }
 
 /// Accumulating form of [`matmul_quant_into`]: `out[i][j] += …`. Used
 /// to fuse the root- and neighbour-weight products of a SAGE layer
 /// without a second output buffer.
-pub fn matmul_quant_acc(a: &QuantizedMatrix, bt: &QuantizedMatrix, out: &mut Matrix) -> Result<()> {
-    quant_mm(a, bt, out, true)
+pub fn matmul_quant_acc(a: &QuantizedMatrix, w: &QuantizedWeights, out: &mut Matrix) -> Result<()> {
+    quant_mm(a, w, out, true, vnni_available())
+}
+
+/// [`matmul_quant_into`] (`accumulate = false`) or
+/// [`matmul_quant_acc`] on the portable kernel, whatever the CPU. It
+/// exists so tests can hold that kernel to the same bits as the one
+/// the CPU dispatches to.
+#[doc(hidden)]
+pub fn matmul_quant_portable(
+    a: &QuantizedMatrix,
+    w: &QuantizedWeights,
+    out: &mut Matrix,
+    accumulate: bool,
+) -> Result<()> {
+    quant_mm(a, w, out, accumulate, false)
 }
 
 fn quant_mm(
     a: &QuantizedMatrix,
-    bt: &QuantizedMatrix,
+    w: &QuantizedWeights,
     out: &mut Matrix,
     accumulate: bool,
+    vnni: bool,
 ) -> Result<()> {
-    if a.cols != bt.cols || out.shape() != (a.rows, bt.rows) {
+    if a.cols != w.inputs || out.shape() != (a.rows, w.outputs) {
         return Err(ShapeError::new(format!(
-            "quant matmul ({}x{}) x ({}x{})t into {:?}",
+            "quant matmul ({}x{}) x ({}x{}) into {:?}",
             a.rows,
             a.cols,
-            bt.rows,
-            bt.cols,
+            w.inputs,
+            w.outputs,
             out.shape()
         )));
     }
-    let k = a.cols;
-    let m = bt.rows;
-    if k == 0 {
+    if a.cols == 0 || w.outputs == 0 {
         // Empty reduction: the product is all zeros.
         if !accumulate {
             out.as_mut_slice().fill(0.0);
         }
         return Ok(());
     }
-    let kernel = select_row_kernel();
-    let out_slice = out.as_mut_slice();
-    for (i, a_row) in a.data.chunks_exact(k.max(1)).enumerate().take(a.rows) {
-        // `a_row` (K bytes) stays hot in L1 across the whole j sweep.
-        let sa = a.scales[i];
-        let o_row = &mut out_slice[i * m..(i + 1) * m];
-        match kernel {
-            RowKernel::Safe => quant_row_safe(a_row, sa, bt, o_row, accumulate),
-            // SAFETY: select_row_kernel verified the required CPU
-            // features at runtime.
-            #[cfg(target_arch = "x86_64")]
-            RowKernel::Madd512 => unsafe { x86::quant_row_madd(a_row, sa, bt, o_row, accumulate) },
-            #[cfg(target_arch = "x86_64")]
-            RowKernel::Vnni => unsafe { x86::quant_row_vnni(a_row, sa, bt, o_row, accumulate) },
-        }
+    #[cfg(target_arch = "x86_64")]
+    if vnni {
+        // SAFETY: `vnni` is only true when AVX-512BW and AVX-512VNNI
+        // were detected at runtime (AVX-512BW implies AVX-512F), and
+        // the shapes were checked above.
+        unsafe { x86::matmul_vnni(a, w, out.as_mut_slice(), accumulate) };
+        return Ok(());
     }
+    let _ = vnni;
+    matmul_portable(a, w, out.as_mut_slice(), accumulate);
     Ok(())
 }
 
@@ -614,7 +647,7 @@ mod tests {
         let b = Matrix::from_fn(33, 6, |r, c| ((r * 13 + c * 5) % 23) as f32 * 0.09 - 1.0);
         let exact = a.matmul(&b).unwrap();
         let qa = QuantizedMatrix::quantize_rows(&a);
-        let qbt = QuantizedMatrix::from_cols(&b);
+        let qbt = QuantizedWeights::from_cols(&b);
         let mut got = Matrix::zeros(5, 6);
         matmul_quant_into(&qa, &qbt, &mut got).unwrap();
         for i in 0..5 {
@@ -631,7 +664,7 @@ mod tests {
         let a = Matrix::from_fn(3, 8, |r, c| (r + c) as f32 * 0.3 - 1.0);
         let b = Matrix::from_fn(8, 3, |r, c| (r * c) as f32 * 0.1 - 0.4);
         let qa = QuantizedMatrix::quantize_rows(&a);
-        let qbt = QuantizedMatrix::from_cols(&b);
+        let qbt = QuantizedWeights::from_cols(&b);
         let mut once = Matrix::zeros(3, 3);
         matmul_quant_into(&qa, &qbt, &mut once).unwrap();
         let mut twice = once.clone();
@@ -680,68 +713,10 @@ mod tests {
         }
     }
 
-    /// Every SIMD row kernel must return *bit-identical* output to the
-    /// portable one — the i32 reduction is exact, so any mismatch is a
-    /// kernel bug, not rounding. Sweeps k across vector-width
-    /// boundaries (tails of 0, 1, 15, 31, 63 … lanes).
-    #[test]
-    fn simd_paths_match_safe_kernel() {
-        for &k in &[
-            1usize, 7, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200,
-        ] {
-            let a = Matrix::from_fn(3, k, |r, c| ((r * 37 + c * 11) % 29) as f32 * 0.17 - 2.1);
-            let b = Matrix::from_fn(k, 5, |r, c| ((r * 13 + c * 3) % 31) as f32 * 0.11 - 1.5);
-            let qa = QuantizedMatrix::quantize_rows(&a);
-            let qbt = QuantizedMatrix::from_cols(&b);
-            let mut want = Matrix::from_fn(3, 5, |r, c| (r + 2 * c) as f32 * 0.5);
-            let mut got = want.clone();
-            for i in 0..3 {
-                let (ar, sa) = (qa.row(i).to_vec(), qa.scales()[i]);
-                quant_row_safe(
-                    &ar,
-                    sa,
-                    &qbt,
-                    &mut want.as_mut_slice()[i * 5..(i + 1) * 5],
-                    true,
-                );
-            }
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx512bw") {
-                    let mut m = got.clone();
-                    for i in 0..3 {
-                        let row = &mut m.as_mut_slice()[i * 5..(i + 1) * 5];
-                        unsafe { x86::quant_row_madd(qa.row(i), qa.scales()[i], &qbt, row, true) };
-                    }
-                    for (w, g) in want.as_slice().iter().zip(m.as_slice()) {
-                        assert_eq!(w.to_bits(), g.to_bits(), "madd diverged at k={k}");
-                    }
-                }
-                if std::arch::is_x86_feature_detected!("avx512vnni")
-                    && std::arch::is_x86_feature_detected!("avx512bw")
-                {
-                    let mut m = got.clone();
-                    for i in 0..3 {
-                        let row = &mut m.as_mut_slice()[i * 5..(i + 1) * 5];
-                        unsafe { x86::quant_row_vnni(qa.row(i), qa.scales()[i], &qbt, row, true) };
-                    }
-                    for (w, g) in want.as_slice().iter().zip(m.as_slice()) {
-                        assert_eq!(w.to_bits(), g.to_bits(), "vnni diverged at k={k}");
-                    }
-                }
-            }
-            // The dispatched entry point agrees with the safe path too.
-            matmul_quant_acc(&qa, &qbt, &mut got).unwrap();
-            for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
-                assert_eq!(w.to_bits(), g.to_bits(), "dispatch diverged at k={k}");
-            }
-        }
-    }
-
     #[test]
     fn shape_mismatch_is_an_error() {
         let qa = QuantizedMatrix::quantize_rows(&Matrix::zeros(2, 3));
-        let qbt = QuantizedMatrix::from_cols(&Matrix::zeros(4, 2));
+        let qbt = QuantizedWeights::from_cols(&Matrix::zeros(4, 2));
         let mut out = Matrix::zeros(2, 2);
         assert!(matmul_quant_into(&qa, &qbt, &mut out).is_err());
     }

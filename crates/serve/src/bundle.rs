@@ -20,6 +20,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 
 use trail::embed::{gnn_input_dim, write_gnn_input_row};
@@ -441,8 +442,10 @@ impl ServeBundle {
         cap: usize,
         edge_hops: usize,
     ) -> (Vec<(NodeId, u32)>, Vec<InducedEdge>) {
-        let mut local: HashMap<NodeId, usize> = HashMap::new();
-        let mut members: Vec<(NodeId, u32)> = Vec::new();
+        let presize = cap.min(WALK_PRESIZE);
+        let mut local: HashMap<NodeId, usize, BuildHasherDefault<NodeIdHasher>> =
+            HashMap::with_capacity_and_hasher(presize, Default::default());
+        let mut members: Vec<(NodeId, u32)> = Vec::with_capacity(presize);
         let mut visit =
             |id: NodeId, hop: u32, members: &mut Vec<(NodeId, u32)>| match local.entry(id) {
                 Entry::Occupied(e) => Some(*e.get()),
@@ -471,6 +474,37 @@ impl ServeBundle {
             i += 1;
         }
         (members, edges)
+    }
+}
+
+/// Members [`ServeBundle::walk`] reserves room for up front (fewer if
+/// the cap is lower): a typical ball is found without growing its map
+/// or list, and a larger one grows from there.
+const WALK_PRESIZE: usize = 512;
+
+/// Hasher of the walk's `NodeId → local index` map: one multiply by
+/// the 64-bit golden ratio, its high half folded into the low bits the
+/// table indexes by. The walk's keys are ids of the bundle's own graph,
+/// not caller-chosen values, so it needs no SipHash. Member order comes
+/// from the member list, never from the map, so the hasher moves no
+/// bit of an answer.
+#[derive(Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        let h = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
