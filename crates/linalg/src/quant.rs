@@ -342,9 +342,8 @@ fn matmul_portable(a: &QuantizedMatrix, w: &QuantizedWeights, out: &mut [f32], a
 }
 
 /// The AVX-512 kernels. Integer sums are exact, so the VNNI kernel's
-/// outputs are bit-identical to [`matmul_portable`]'s;
-/// `tests/kernel_proptest.rs` checks both against a plain i32
-/// reference, tails included.
+/// outputs are bit-identical to [`matmul_portable`]'s; the unit tests
+/// below check both against a plain i32 reference, tails included.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{QuantizedMatrix, QuantizedWeights, GROUP, PANEL, PANEL_GROUP};
@@ -545,20 +544,6 @@ pub fn matmul_quant_acc(a: &QuantizedMatrix, w: &QuantizedWeights, out: &mut Mat
     quant_mm(a, w, out, true, vnni_available())
 }
 
-/// [`matmul_quant_into`] (`accumulate = false`) or
-/// [`matmul_quant_acc`] on the portable kernel, whatever the CPU. It
-/// exists so tests can hold that kernel to the same bits as the one
-/// the CPU dispatches to.
-#[doc(hidden)]
-pub fn matmul_quant_portable(
-    a: &QuantizedMatrix,
-    w: &QuantizedWeights,
-    out: &mut Matrix,
-    accumulate: bool,
-) -> Result<()> {
-    quant_mm(a, w, out, accumulate, false)
-}
-
 fn quant_mm(
     a: &QuantizedMatrix,
     w: &QuantizedWeights,
@@ -599,6 +584,7 @@ fn quant_mm(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_error_within_half_scale() {
@@ -710,6 +696,131 @@ mod tests {
             let (sz, rz) = quantize_row_dispatch(&zeros, &mut qz, simd_quantize_available());
             assert_eq!((sz, rz), (0.0, 0));
             assert!(qz.iter().all(|&v| v == 0));
+        }
+    }
+
+    /// Deterministic values in about ±10, sign-symmetric, with exact
+    /// zeros mixed in.
+    fn fill(seed: u64, len: usize) -> Vec<f32> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if (s >> 20).is_multiple_of(5) {
+                    0.0
+                } else {
+                    ((s >> 33) as i32 % 2001 - 1000) as f32 / 97.0
+                }
+            })
+            .collect()
+    }
+
+    /// Like [`fill`], but on the quantizer's edges: every third row (of
+    /// `cols` values) is all zeros, and with `saturate` the other values
+    /// are `-1`, `0` or `+1`, so the nonzero codes are all `±127`.
+    fn fill_codes(seed: u64, rows: usize, cols: usize, saturate: bool) -> Vec<f32> {
+        let mut v = fill(seed, rows * cols);
+        for (r, row) in v.chunks_mut(cols.max(1)).enumerate() {
+            for x in row.iter_mut() {
+                if r % 3 == 1 {
+                    *x = 0.0;
+                } else if saturate {
+                    *x = (*x as i32 % 3).signum() as f32;
+                }
+            }
+        }
+        v
+    }
+
+    /// Plain i32 dot product of two code rows: the reference every
+    /// kernel must equal exactly.
+    fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
+        a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
+    }
+
+    /// `x (n×k) @ w (k×m)` through the dispatched kernel (VNNI where the
+    /// CPU has it) and the portable one, in both the overwriting and the
+    /// accumulating form, each bitwise against `sa · sb[j] · dot as f32`
+    /// over the stored codes. Returns the lowest activation and weight
+    /// codes, so callers can see that negative codes were drawn.
+    fn check_quant_kernels(n: usize, k: usize, m: usize, seed: u64, saturate: bool) -> [i8; 2] {
+        let x = Matrix::from_vec(n, k, fill_codes(seed, n, k, saturate)).unwrap();
+        let w =
+            Matrix::from_vec(k, m, fill_codes(seed ^ 0x94d049bb133111eb, k, m, saturate)).unwrap();
+        let qa = QuantizedMatrix::quantize_rows(&x);
+        let qw = QuantizedWeights::from_cols(&w);
+        // Column j of the packed weights holds the codes the row
+        // quantizer gives row j of the transpose.
+        let qwt = QuantizedMatrix::quantize_rows(&w.transpose());
+        let scale_bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(scale_bits(qw.scales()), scale_bits(qwt.scales()));
+        let start = fill(seed ^ 0x2545f4914f6cdd1d, n * m);
+        let mut want_into = vec![0.0f32; n * m];
+        let mut want_acc = start.clone();
+        for i in 0..n {
+            for j in 0..m {
+                let s = dot_i8(qa.row(i), qwt.row(j));
+                let v = qa.scales()[i] * qwt.scales()[j] * s as f32;
+                want_into[i * m + j] = v;
+                want_acc[i * m + j] += v;
+            }
+        }
+        for (kernel, vnni) in [("dispatched", vnni_available()), ("portable", false)] {
+            for (form, accumulate, want) in [("into", false, &want_into), ("acc", true, &want_acc)]
+            {
+                let mut got = Matrix::from_vec(n, m, start.clone()).unwrap();
+                quant_mm(&qa, &qw, &mut got, accumulate, vnni).unwrap();
+                for (idx, (x, y)) in want.iter().zip(got.as_slice()).enumerate() {
+                    assert!(
+                        x.to_bits() == y.to_bits(),
+                        "{kernel} {form} (n={n}, K={k}, m={m}, saturate={saturate}) \
+                         diverged at {idx}: {x} vs {y}"
+                    );
+                }
+            }
+        }
+        let lowest = |q: &QuantizedMatrix| {
+            (0..q.rows())
+                .flat_map(|r| q.row(r))
+                .fold(0, |a, &c| c.min(a))
+        };
+        [lowest(&qa), lowest(&qwt)]
+    }
+
+    /// Every reduction length up to 200 (each tail mod 4 and mod 64), at
+    /// fixed row and column counts that cover empty and partial row
+    /// tiles and 1-, 16-, 17- and 40-column panels; the property below
+    /// draws random shapes in the same ranges. Both operands draw codes
+    /// down to −127.
+    #[test]
+    fn quant_kernels_match_the_i32_reference_at_every_k() {
+        let shapes = [(0, 1), (1, 1), (3, 16), (4, 17), (5, 32), (9, 40)];
+        let mut lowest = [0i8; 2];
+        for k in 0..=200 {
+            let (n, m) = shapes[k % shapes.len()];
+            let [a, w] = check_quant_kernels(n, k, m, k as u64, k % 2 == 0);
+            lowest = [lowest[0].min(a), lowest[1].min(w)];
+        }
+        assert_eq!(lowest, [-127, -127]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every kernel equals the plain i32 reference bit for bit, at
+        /// random shapes with all-zero rows and, half the time, only
+        /// `±127` codes.
+        #[test]
+        fn quant_kernels_are_bitwise_exact(
+            n in 0usize..=9,
+            k in 0usize..=200,
+            m in 1usize..=40,
+            seed in 0u64..1 << 48,
+            saturate in any::<bool>(),
+        ) {
+            check_quant_kernels(n, k, m, seed, saturate);
         }
     }
 
